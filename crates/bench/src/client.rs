@@ -30,6 +30,7 @@
 //! only, never response bytes.
 
 use acs_serve::{Client, Request, Response};
+use acs_sim::noise::splitmix64_step;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
@@ -206,15 +207,6 @@ pub struct ClientStats {
     pub breaker_fast_fails: u64,
 }
 
-/// splitmix64 for idempotency keys: seedable, stable, dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A retrying, deadline-bounded, breaker-guarded client.
 pub struct ResilientClient {
     addr: String,
@@ -262,7 +254,7 @@ impl ResilientClient {
     /// every retry, so the server either executes once and replays the
     /// memoized bytes, or the call fails typed.
     pub fn run(&mut self, kernel_id: &str, iterations: u64) -> Result<Response, ClientError> {
-        let key = splitmix64(&mut self.rng);
+        let key = splitmix64_step(&mut self.rng);
         self.call(&Request::Run {
             kernel_id: kernel_id.to_string(),
             iterations,
@@ -361,7 +353,7 @@ impl ResilientClient {
         let base = self.policy.base_backoff.as_micros() as u64;
         let ceil = (prev.as_micros() as u64).saturating_mul(3).max(base + 1);
         let span = ceil - base;
-        let jitter = base + splitmix64(&mut self.rng) % span;
+        let jitter = base + splitmix64_step(&mut self.rng) % span;
         Duration::from_micros(jitter).min(self.policy.max_backoff).max(self.policy.base_backoff)
     }
 }
@@ -381,7 +373,7 @@ fn addr_hash(addr: &str) -> u64 {
 /// Rendezvous (highest-random-weight) score of `addr` for `session_key`.
 pub fn rendezvous_weight(addr: &str, session_key: u64) -> u64 {
     let mut state = addr_hash(addr) ^ session_key;
-    splitmix64(&mut state)
+    splitmix64_step(&mut state)
 }
 
 /// Counters a fleet bench or chaos test can assert on.
@@ -489,7 +481,7 @@ impl FleetClient {
     /// Run a kernel with exactly-once-in-effect semantics that survive
     /// shard failover: the drawn key joins the session's replay history.
     pub fn run(&mut self, kernel_id: &str, iterations: u64) -> Result<Response, ClientError> {
-        let key = splitmix64(&mut self.rng);
+        let key = splitmix64_step(&mut self.rng);
         self.run_history.push((kernel_id.to_string(), iterations, key));
         self.call(&Request::Run {
             kernel_id: kernel_id.to_string(),
@@ -636,7 +628,7 @@ mod tests {
         let draw = |seed: u64| -> Vec<u64> {
             let mut c =
                 ResilientClient::new("127.0.0.1:1", RetryPolicy::default()).with_key_seed(seed);
-            (0..32).map(|_| splitmix64(&mut c.rng)).collect()
+            (0..32).map(|_| splitmix64_step(&mut c.rng)).collect()
         };
         let a = draw(9);
         assert_eq!(a, draw(9), "same seed, same key stream");

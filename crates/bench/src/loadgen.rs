@@ -16,7 +16,9 @@
 //! selections, batch selections, run reports, budgets, typed errors — is
 //! logged verbatim in request order.
 
+use acs_serve::metrics::quantile;
 use acs_serve::{Client, ReportFeedback, Request, Response, StatsSnapshot};
+use acs_sim::noise::{splitmix64_step, unit_f64};
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -133,20 +135,6 @@ struct SessionOutcome {
     dropped: u64,
 }
 
-/// splitmix64: tiny, seedable, and stable across toolchains.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in [0, 1).
-fn next_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// The deadline fields the options attach to `Select`/`Run` requests.
 fn deadline_fields(opts: &LoadgenOptions) -> (Option<u64>, u8) {
     if opts.deadline_ms > 0 {
@@ -158,7 +146,7 @@ fn deadline_fields(opts: &LoadgenOptions) -> (Option<u64>, u8) {
 
 /// The deterministic request for `(seed, session, index)`.
 fn request_for(opts: &LoadgenOptions, kernel_ids: &[String], rng: &mut u64, index: u64) -> Request {
-    let draw = splitmix64(rng);
+    let draw = splitmix64_step(rng);
     if opts.report_every > 0 && index % opts.report_every == opts.report_every - 1 {
         // Residual headroom in [0, 40) W, deterministic from the stream.
         let residual_w = (draw % 4000) as f64 / 100.0;
@@ -226,8 +214,8 @@ fn run_session(
     for index in 0..count {
         if let Some(rate) = session_rate {
             // Inverse-CDF exponential draw; (1 - u) never hits zero
-            // because next_f64 is in [0, 1).
-            next_arrival_s += -(1.0 - next_f64(&mut arrival_rng)).ln() / rate;
+            // because unit_f64 is in [0, 1).
+            next_arrival_s += -(1.0 - unit_f64(&mut arrival_rng)).ln() / rate;
             let due = Duration::from_secs_f64(next_arrival_s);
             let elapsed = loop_started.elapsed();
             if due > elapsed {
@@ -330,14 +318,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<(LoadgenReport, String), Str
     }
 
     latencies.sort_unstable();
-    let quantile = |q: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            let rank = ((latencies.len() as f64 * q).ceil() as usize).clamp(1, latencies.len());
-            latencies[rank - 1]
-        }
-    };
+    let latency_us = |q| if latencies.is_empty() { 0 } else { quantile(&latencies, q) };
     let mean = |v: &[u64]| -> f64 {
         if v.is_empty() {
             0.0
@@ -354,8 +335,8 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> Result<(LoadgenReport, String), Str
         dropped,
         elapsed_s,
         throughput_rps: if elapsed_s > 0.0 { opts.requests as f64 / elapsed_s } else { 0.0 },
-        p50_latency_us: quantile(0.50),
-        p99_latency_us: quantile(0.99),
+        p50_latency_us: latency_us(0.50),
+        p99_latency_us: latency_us(0.99),
         cold_selects: cold_us.len() as u64,
         warm_selects: warm_us.len() as u64,
         cold_mean_us: mean(&cold_us),
@@ -488,7 +469,7 @@ mod tests {
             let mut t = 0.0f64;
             (0..n)
                 .map(|_| {
-                    t += -(1.0 - next_f64(&mut rng)).ln() / rate;
+                    t += -(1.0 - unit_f64(&mut rng)).ln() / rate;
                     t
                 })
                 .collect()

@@ -7,6 +7,7 @@ use acs_core::{
     sample_config, train, CappedRuntime, KernelProfile, Predictor, SamplePair, TrainedModel,
     TrainingParams,
 };
+use acs_sim::noise::splitmix64_step;
 use acs_sim::{Device, Machine};
 use std::io::Write;
 
@@ -951,16 +952,6 @@ fn cmd_loadgen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// splitmix64: the chaos schedule's only entropy source, so the whole
-/// orchestration is a pure function of `--seed`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// `acs chaosfleet`: the fleet chaos orchestrator (DESIGN.md §17).
 ///
 /// Spins up a coordinator and N shard servers in-process — each shard
@@ -1126,7 +1117,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         shards.iter().enumerate().map(|(i, s)| (format!("shard-{i}"), s.addr.clone())).collect();
     let mut key_rng = seed ^ 0x5E55_1014_C11E_4715;
     let mut clients: Vec<FleetClient> = (0..sessions_n)
-        .map(|_| FleetClient::with_ring(&ring, splitmix64(&mut key_rng), policy.clone()))
+        .map(|_| FleetClient::with_ring(&ring, splitmix64_step(&mut key_rng), policy.clone()))
         .collect();
 
     // One phase's worth of traffic: every session issues its calls in
@@ -1164,13 +1155,15 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         Ok(completed)
     };
 
+    // The schedule's only entropy source, so the whole orchestration is a
+    // pure function of `--seed`.
     let mut sched = seed ^ 0xC4A0_5F1E_E7B0_0A57;
     let (mut completed, mut kills, mut partitions) = (0u64, 0u64, 0u64);
     let (mut readmitted, mut expected_readmissions) = (0u64, 0u64);
     let mut decay_violations = 0u64;
     for phase in 1..=phases {
-        let action = splitmix64(&mut sched) % 3;
-        let victim = (splitmix64(&mut sched) as usize) % shards_n;
+        let action = splitmix64_step(&mut sched) % 3;
+        let victim = (splitmix64_step(&mut sched) as usize) % shards_n;
         match action {
             0 => {
                 writeln!(out, "phase {phase}: kill shard-{victim}").map_err(io_err)?;
@@ -1217,7 +1210,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             1 => {
                 writeln!(out, "phase {phase}: partition shard-{victim} ({partition_ms} ms)")
                     .map_err(io_err)?;
-                let last_grant = shards[victim].handle.lease_cap_w();
+                let last_grant = shards[victim].handle.stats().lease_budget_w;
                 shards[victim].proxy.partition(partition_ms);
                 partitions += 1;
                 completed += drive(&mut clients, phase)?;
@@ -1225,7 +1218,7 @@ fn cmd_chaosfleet(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 // the enforced cap stays inside [min(floor, last grant),
                 // global cap]. It may recover upward, never overshoot.
                 for _ in 0..10 {
-                    let cap = shards[victim].handle.lease_cap_w();
+                    let cap = shards[victim].handle.stats().lease_budget_w;
                     if cap < floor_w.min(last_grant) - 1e-9 || cap > cap_w + 1e-9 {
                         decay_violations += 1;
                     }

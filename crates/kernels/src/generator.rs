@@ -10,6 +10,7 @@
 //! Experiment A7 (`ablation_microbench`) trains on a generated set and
 //! validates on the real suite — the deployment mode a vendor would ship.
 
+use acs_sim::noise::unit_f64;
 use acs_sim::KernelCharacteristics;
 use serde::{Deserialize, Serialize};
 
@@ -48,18 +49,8 @@ impl Default for GeneratorConfig {
     }
 }
 
-/// SplitMix64 step.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 fn uniform(state: &mut u64, (lo, hi): (f64, f64)) -> f64 {
-    let u = (next(state) >> 11) as f64 / (1u64 << 53) as f64;
-    lo + u * (hi - lo)
+    lo + unit_f64(state) * (hi - lo)
 }
 
 fn log_uniform(state: &mut u64, (lo, hi): (f64, f64)) -> f64 {

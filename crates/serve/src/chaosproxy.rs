@@ -40,6 +40,7 @@
 
 use crate::protocol::MAX_FRAME_LEN;
 use crate::server::{sig, ServeError};
+use acs_sim::noise::{splitmix64_step, unit_f64};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -343,20 +344,6 @@ impl ChaosProxy {
     }
 }
 
-/// splitmix64, seeded per connection so chaos runs replay.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A uniform draw in [0, 1).
-fn next_f64(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// One proxied connection: spawn the transparent server→client pump,
 /// run the fault-injecting client→server pump inline, then tear both
 /// sides down.
@@ -466,7 +453,7 @@ fn inject_frames(
     conn_id: u64,
 ) {
     let plan = shared.plan;
-    let mut rng = plan.seed ^ splitmix64(&mut { conn_id.wrapping_add(1) });
+    let mut rng = plan.seed ^ splitmix64_step(&mut { conn_id.wrapping_add(1) });
     let close_both = |server: &TcpStream| {
         let _ = server.shutdown(Shutdown::Both);
         if let Some(c) = &client_close {
@@ -491,7 +478,7 @@ fn inject_frames(
             continue;
         }
 
-        let roll = next_f64(&mut rng);
+        let roll = unit_f64(&mut rng);
         let mut edge = plan.partition_p;
         if roll < edge {
             // Open the window and swallow the triggering frame with it.
@@ -518,7 +505,7 @@ fn inject_frames(
         edge += plan.corrupt_p;
         if roll < edge && !body.is_empty() {
             shared.corrupted.fetch_add(1, Ordering::Relaxed);
-            let at = (splitmix64(&mut rng) % body.len() as u64) as usize;
+            let at = (splitmix64_step(&mut rng) % body.len() as u64) as usize;
             body[at] = 0xFF;
         } else {
             edge += plan.delay_p;
@@ -600,13 +587,13 @@ mod tests {
     fn fault_rolls_are_deterministic_per_seed() {
         let draw = |seed: u64| -> Vec<u64> {
             let mut s = seed;
-            (0..8).map(|_| splitmix64(&mut s)).collect()
+            (0..8).map(|_| splitmix64_step(&mut s)).collect()
         };
         assert_eq!(draw(2014), draw(2014));
         assert_ne!(draw(2014), draw(2015));
         let mut s = 1;
         for _ in 0..100 {
-            let f = next_f64(&mut s);
+            let f = unit_f64(&mut s);
             assert!((0.0..1.0).contains(&f));
         }
     }

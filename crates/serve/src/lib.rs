@@ -17,7 +17,8 @@
 //!   bounded LRU caches, idempotency memo
 //! - [`arbiter`] — global-cap partitioning policies (budgets always sum
 //!   exactly to the cap)
-//! - [`metrics`] — counters, latency quantiles, the `STATS` snapshot
+//! - [`metrics`] — the enum-indexed counter registry, latency reservoirs,
+//!   the `STATS` snapshot
 //! - [`server`] — listener, admission control, sessions, shutdown
 //! - [`journal`] — append-only recovery journal; a restarted server
 //!   replays it and resumes with identical budgets and a warm cache
@@ -56,7 +57,7 @@ pub use lease::{
     replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
     GrantOutcome, LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
 };
-pub use metrics::{LeaseReport, Metrics, StatsSnapshot};
+pub use metrics::{Counter, Metrics, StatsSnapshot};
 pub use protocol::{
     read_frame, read_frame_blocking, write_frame, ProtocolError, ReadOutcome, ReportFeedback,
     Request, Response, Selection, MAX_FRAME_LEN,

@@ -6,13 +6,19 @@
 //! microseconds, rounding each quantile *up* — warm selects service in
 //! well under a microsecond, so truncating division would report the
 //! median of a busy server as 0 µs (the PR-8 reservoir bug). Quantiles are
-//! computed on demand by sorting a copy — snapshots are rare relative to
-//! requests.
+//! computed on demand by sorting a copy taken under the reservoir lock and
+//! sorted after releasing it — snapshots are rare relative to requests, and
+//! the sort must not stall them.
+//!
+//! Counters are a closed [`Counter`] enum indexing one fixed atomic array;
+//! per-kind request counts index another by [`REQUEST_KINDS`]. Only the
+//! rung tallies, whose labels are an open set, keep a map.
 //!
 //! Snapshots carry wall-clock-derived latency numbers, so replay logs
 //! exclude `Stats` responses (DESIGN.md §11); everything else in the
 //! snapshot is a plain counter.
 
+use crate::protocol::REQUEST_KINDS;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -23,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const LATENCY_RESERVOIR: usize = 1 << 16;
 
 /// Point-in-time server statistics, as returned for a `Stats` request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StatsSnapshot {
     /// Requests served, all kinds.
     pub requests_total: u64,
@@ -107,61 +113,90 @@ pub struct StatsSnapshot {
     pub evicted_shards: u64,
 }
 
-/// Snapshot inputs that live outside the registry: the shard lease state
-/// machine (guarded by its own lock) and the recovery-journal counters.
-#[derive(Debug, Clone)]
-pub struct LeaseReport {
-    /// `standalone`, `unleased`, `leased`, or `degraded`.
-    pub lease_state: String,
-    /// The cap the shard currently enforces.
-    pub lease_budget_w: f64,
-    /// Times the shard entered degraded mode.
-    pub degraded_entries: u64,
-    /// Journal entries appended by this process.
-    pub journal_appends: u64,
-    /// Journal entries replayed at startup.
-    pub journal_replayed: u64,
-    /// Current brownout level (0 = normal).
-    pub brownout_level: u8,
-    /// Times this shard's lease was evicted by the coordinator.
-    pub evicted_shards: u64,
+/// The registry's counters, one slot each in [`Metrics`]'s fixed atomic
+/// array. Every one is monotone and feeds the [`StatsSnapshot`] field of the
+/// same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Connections or batches refused with a typed `Overloaded`.
+    Overloaded,
+    /// Frames that failed to parse.
+    ProtocolErrors,
+    /// Budget reshuffles that made a session re-run selection.
+    Reselections,
+    /// `Run` requests answered from the idempotency memo.
+    IdemReplays,
+    /// Successful lease renewals (counted by [`Metrics::record_renew`]).
+    LeaseRenews,
+    /// Measured-feedback observations consumed by adaptive predictors.
+    AdaptObservations,
+    /// Typed drift events emitted by the drift detectors.
+    DriftEvents,
+    /// Selections the adaptive correction steered off the static pick.
+    AdaptReselections,
+    /// Kernels flagged for cluster re-classification.
+    Reclassifications,
+    /// Deadline-carrying requests shed before service.
+    Sheds,
+    /// Deadline-carrying requests served after their deadline.
+    DeadlineMisses,
+    /// Renewals rejected with `unknown-lease`: the coordinator evicted us.
+    EvictedShards,
 }
 
-impl Default for LeaseReport {
-    fn default() -> Self {
-        Self {
-            lease_state: "standalone".into(),
-            lease_budget_w: 0.0,
-            degraded_entries: 0,
-            journal_appends: 0,
-            journal_replayed: 0,
-            brownout_level: 0,
-            evicted_shards: 0,
+const COUNTERS: usize = Counter::EvictedShards as usize + 1;
+
+/// A bounded ring of nanosecond samples: once full, each new sample
+/// overwrites the oldest. The write index lives under the same lock as the
+/// samples.
+#[derive(Default)]
+struct Reservoir(Mutex<Ring>);
+
+#[derive(Default)]
+struct Ring {
+    samples: Vec<u64>,
+    next: usize,
+}
+
+impl Reservoir {
+    fn record(&self, ns: u64) {
+        let mut ring = self.0.lock();
+        if ring.samples.len() < LATENCY_RESERVOIR {
+            ring.samples.push(ns);
+        } else {
+            let at = ring.next;
+            ring.samples[at] = ns;
+            ring.next = (at + 1) % LATENCY_RESERVOIR;
         }
+    }
+
+    /// (p50, p99) in µs, rounded up so a recorded sample is never
+    /// summarized as 0 µs; (0, 0) when empty. The samples are copied under
+    /// the lock and sorted after it is released, so a quantile read never
+    /// stalls the recorders.
+    fn quantiles_us(&self) -> (u64, u64) {
+        let mut samples = self.0.lock().samples.clone();
+        if samples.is_empty() {
+            return (0, 0);
+        }
+        samples.sort_unstable();
+        // `.max(1)` guards the (clock-granularity) case of a 0 ns sample:
+        // with any samples at all, quantiles are ≥ 1 µs by contract.
+        let us = |q| quantile(&samples, q).div_ceil(1000).max(1);
+        (us(0.50), us(0.99))
     }
 }
 
 /// Thread-safe metric registry shared by all sessions.
 #[derive(Default)]
 pub struct Metrics {
-    requests_total: AtomicU64,
-    by_kind: Mutex<BTreeMap<String, u64>>,
-    latencies_ns: Mutex<Vec<u64>>,
-    next_slot: AtomicU64,
-    overloaded: AtomicU64,
-    protocol_errors: AtomicU64,
-    reselections: AtomicU64,
-    idem_replays: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
+    /// Requests served, indexed like [`REQUEST_KINDS`].
+    by_kind: [AtomicU64; REQUEST_KINDS.len()],
+    latency: Reservoir,
+    renew_latency: Reservoir,
+    /// Rung labels (`model+fl(n)`, ...) are an open set, so they keep a map.
     degradation: Mutex<BTreeMap<String, u64>>,
-    lease_renews: AtomicU64,
-    renew_latencies_ns: Mutex<Vec<u64>>,
-    renew_next_slot: AtomicU64,
-    adapt_observations: AtomicU64,
-    drift_events: AtomicU64,
-    adapt_reselections: AtomicU64,
-    reclassifications: AtomicU64,
-    sheds: AtomicU64,
-    deadline_misses: AtomicU64,
 }
 
 impl Metrics {
@@ -170,43 +205,32 @@ impl Metrics {
         Self::default()
     }
 
-    /// Record one served request of `kind` with its service latency in
-    /// nanoseconds (sub-µs services must not collapse to 0).
+    /// Add `n` to a counter. `Relaxed` suffices: a counter is a statistic
+    /// and publishes no other data.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// A counter's current value.
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
+    /// Record one served request of `kind` (a [`REQUEST_KINDS`] label) with
+    /// its service latency in nanoseconds (sub-µs services must not
+    /// collapse to 0). Other labels are not counted.
     pub fn record_request(&self, kind: &str, latency_ns: u64) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        *self.by_kind.lock().entry(kind.to_string()).or_insert(0) += 1;
-        let mut lat = self.latencies_ns.lock();
-        if lat.len() < LATENCY_RESERVOIR {
-            lat.push(latency_ns);
-        } else {
-            let slot = self.next_slot.fetch_add(1, Ordering::Relaxed) as usize;
-            lat[slot % LATENCY_RESERVOIR] = latency_ns;
+        if let Some(slot) = REQUEST_KINDS.iter().position(|k| *k == kind) {
+            self.by_kind[slot].fetch_add(1, Ordering::Relaxed);
+            self.latency.record(latency_ns);
         }
     }
 
-    /// Count a typed `Overloaded` rejection.
-    pub fn record_overloaded(&self) {
-        self.overloaded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a wire-protocol failure.
-    pub fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a budget reshuffle that re-ran selection in some session.
-    pub fn record_reselection(&self) {
-        self.reselections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a `Run` answered from the idempotency memo.
-    pub fn record_idem_replay(&self) {
-        self.idem_replays.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Idempotent replays so far.
-    pub fn idem_replays(&self) -> u64 {
-        self.idem_replays.load(Ordering::Relaxed)
+    /// Record one successful lease renewal and its round-trip latency in
+    /// nanoseconds.
+    pub fn record_renew(&self, latency_ns: u64) {
+        self.add(Counter::LeaseRenews, 1);
+        self.renew_latency.record(latency_ns);
     }
 
     /// Tally one request served at a degradation-ladder rung.
@@ -224,140 +248,48 @@ impl Metrics {
         }
     }
 
-    /// Count adaptation-loop activity after an observation: `events` drift
-    /// events, of which `reclassifications` flagged a cluster mismatch.
-    pub fn record_adapt_observation(&self, events: u64, reclassifications: u64) {
-        self.adapt_observations.fetch_add(1, Ordering::Relaxed);
-        self.drift_events.fetch_add(events, Ordering::Relaxed);
-        self.reclassifications.fetch_add(reclassifications, Ordering::Relaxed);
-    }
-
-    /// Count a selection the adaptive correction steered away from the
-    /// static model's pick.
-    pub fn record_adapt_reselection(&self) {
-        self.adapt_reselections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adaptive observations so far.
-    pub fn adapt_observations(&self) -> u64 {
-        self.adapt_observations.load(Ordering::Relaxed)
-    }
-
-    /// Record one successful lease renewal and its round-trip latency in
-    /// nanoseconds.
-    pub fn record_renew(&self, latency_ns: u64) {
-        self.lease_renews.fetch_add(1, Ordering::Relaxed);
-        let mut lat = self.renew_latencies_ns.lock();
-        if lat.len() < LATENCY_RESERVOIR {
-            lat.push(latency_ns);
-        } else {
-            let slot = self.renew_next_slot.fetch_add(1, Ordering::Relaxed) as usize;
-            lat[slot % LATENCY_RESERVOIR] = latency_ns;
-        }
-    }
-
-    /// Successful lease renewals so far.
-    pub fn lease_renews(&self) -> u64 {
-        self.lease_renews.load(Ordering::Relaxed)
-    }
-
-    /// Wire-protocol failures so far.
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
-    }
-
-    /// Count a deadline-carrying request shed before service.
-    pub fn record_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests shed so far.
-    pub fn sheds(&self) -> u64 {
-        self.sheds.load(Ordering::Relaxed)
-    }
-
-    /// Count a deadline-carrying request that was served late.
-    pub fn record_deadline_miss(&self) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Deadline misses so far.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses.load(Ordering::Relaxed)
-    }
-
     /// The current 99th-percentile request latency in µs, straight off
     /// the reservoir. The brownout controller polls this; quantiles sort
     /// a copy, so callers should sample at a bounded rate.
     pub fn p99_latency_us_now(&self) -> u64 {
-        self.latency_quantiles().1
+        self.latency.quantiles_us().1
     }
 
-    /// Build a snapshot. Cache and arbiter counters live elsewhere, so the
-    /// caller passes them in.
-    pub fn snapshot(
-        &self,
-        cache_counts: (u64, u64),
-        active_sessions: u64,
-        arbiter_rebalances: u64,
-        lease: &LeaseReport,
-    ) -> StatsSnapshot {
-        let (p50, p99) = self.latency_quantiles();
-        let (renew_p50, renew_p99) = self.renew_quantiles();
-        let (cache_hits, cache_misses) = cache_counts;
-        let looked_up = cache_hits + cache_misses;
+    /// The fields this registry owns, with every other field (cache,
+    /// sessions, arbiter, lease, journal, brownout) zero or empty: the
+    /// server's `stats()` fills those in. Kinds never seen are absent from
+    /// `requests_by_kind`, and `requests_total` is the sum of its entries.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        let requests_by_kind: BTreeMap<String, u64> = REQUEST_KINDS
+            .iter()
+            .zip(&self.by_kind)
+            .map(|(kind, n)| (kind.to_string(), n.load(Ordering::Relaxed)))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let (p50_latency_us, p99_latency_us) = self.latency.quantiles_us();
+        let (p50_renew_latency_us, p99_renew_latency_us) = self.renew_latency.quantiles_us();
         StatsSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            requests_by_kind: self.by_kind.lock().clone(),
-            p50_latency_us: p50,
-            p99_latency_us: p99,
-            cache_hits,
-            cache_misses,
-            cache_hit_rate: if looked_up == 0 { 0.0 } else { cache_hits as f64 / looked_up as f64 },
-            active_sessions,
-            arbiter_rebalances,
-            reselections: self.reselections.load(Ordering::Relaxed),
-            overloaded: self.overloaded.load(Ordering::Relaxed),
-            idem_replays: self.idem_replays.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
+            requests_total: requests_by_kind.values().sum(),
+            requests_by_kind,
+            p50_latency_us,
+            p99_latency_us,
+            reselections: self.get(Counter::Reselections),
+            overloaded: self.get(Counter::Overloaded),
+            idem_replays: self.get(Counter::IdemReplays),
+            protocol_errors: self.get(Counter::ProtocolErrors),
             degradation_tallies: self.degradation.lock().clone(),
-            lease_state: lease.lease_state.clone(),
-            lease_budget_w: lease.lease_budget_w,
-            degraded_entries: lease.degraded_entries,
-            lease_renews: self.lease_renews.load(Ordering::Relaxed),
-            p50_renew_latency_us: renew_p50,
-            p99_renew_latency_us: renew_p99,
-            journal_appends: lease.journal_appends,
-            journal_replayed: lease.journal_replayed,
-            adapt_observations: self.adapt_observations.load(Ordering::Relaxed),
-            drift_events: self.drift_events.load(Ordering::Relaxed),
-            adapt_reselections: self.adapt_reselections.load(Ordering::Relaxed),
-            reclassifications: self.reclassifications.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            brownout_level: lease.brownout_level,
-            evicted_shards: lease.evicted_shards,
+            lease_renews: self.get(Counter::LeaseRenews),
+            p50_renew_latency_us,
+            p99_renew_latency_us,
+            adapt_observations: self.get(Counter::AdaptObservations),
+            drift_events: self.get(Counter::DriftEvents),
+            adapt_reselections: self.get(Counter::AdaptReselections),
+            reclassifications: self.get(Counter::Reclassifications),
+            sheds: self.get(Counter::Sheds),
+            deadline_misses: self.get(Counter::DeadlineMisses),
+            evicted_shards: self.get(Counter::EvictedShards),
+            ..StatsSnapshot::default()
         }
-    }
-
-    fn latency_quantiles(&self) -> (u64, u64) {
-        Self::quantiles_us(&mut self.latencies_ns.lock().clone())
-    }
-
-    fn renew_quantiles(&self) -> (u64, u64) {
-        Self::quantiles_us(&mut self.renew_latencies_ns.lock().clone())
-    }
-
-    /// (p50, p99) of nanosecond samples, reported in µs rounded up so a
-    /// recorded request is never summarized as 0 µs.
-    fn quantiles_us(lat_ns: &mut [u64]) -> (u64, u64) {
-        if lat_ns.is_empty() {
-            return (0, 0);
-        }
-        lat_ns.sort_unstable();
-        // `.max(1)` guards the (clock-granularity) case of a 0 ns sample:
-        // with any samples at all, quantiles are ≥ 1 µs by contract.
-        (quantile(lat_ns, 0.50).div_ceil(1000).max(1), quantile(lat_ns, 0.99).div_ceil(1000).max(1))
     }
 }
 
@@ -379,16 +311,33 @@ mod tests {
             m.record_request("select", us * 1000); // µs-scale samples, in ns
         }
         m.record_request("stats", 1_000_000);
-        let s = m.snapshot((30, 70), 2, 5, &LeaseReport::default());
+        let s = m.snapshot();
         assert_eq!(s.requests_total, 101);
         assert_eq!(s.requests_by_kind["select"], 100);
         assert_eq!(s.requests_by_kind["stats"], 1);
+        // Kinds never seen stay absent, so the JSON keeps its shape.
+        assert_eq!(s.requests_by_kind.len(), 2);
         assert_eq!(s.p50_latency_us, 51);
         assert_eq!(s.p99_latency_us, 100);
-        assert_eq!(s.cache_hits, 30);
-        assert!((s.cache_hit_rate - 0.30).abs() < 1e-12);
-        assert_eq!(s.active_sessions, 2);
-        assert_eq!(s.arbiter_rebalances, 5);
+
+        // Every kind lands in its own entry, and the total is their sum.
+        for (i, kind) in REQUEST_KINDS.iter().enumerate() {
+            for _ in 0..=i {
+                m.record_request(kind, 1_000);
+            }
+        }
+        let s = m.snapshot();
+        assert_eq!(s.requests_by_kind.len(), REQUEST_KINDS.len());
+        for (i, kind) in REQUEST_KINDS.iter().enumerate() {
+            let before = match *kind {
+                "select" => 100,
+                "stats" => 1,
+                _ => 0,
+            };
+            assert_eq!(s.requests_by_kind[*kind], before + i as u64 + 1, "{kind}");
+        }
+        assert_eq!(s.requests_total, s.requests_by_kind.values().sum::<u64>());
+        assert_eq!(s.requests_total, 101 + 36);
     }
 
     #[test]
@@ -399,7 +348,7 @@ mod tests {
         for ns in [120u64, 300, 450, 800, 950] {
             m.record_request("select", ns);
         }
-        let s = m.snapshot((0, 0), 1, 0, &LeaseReport::default());
+        let s = m.snapshot();
         assert_eq!(s.p50_latency_us, 1, "sub-µs median rounds up to 1 µs");
         assert_eq!(s.p99_latency_us, 1);
         // Mixed scales: the µs-and-up tail still reports faithfully.
@@ -408,49 +357,40 @@ mod tests {
         for _ in 0..5 {
             m.record_request("select", 2_000);
         }
-        let s = m.snapshot((0, 0), 1, 0, &LeaseReport::default());
+        let s = m.snapshot();
         assert_eq!(s.p50_latency_us, 2);
         assert_eq!(s.p99_latency_us, 31);
     }
 
     #[test]
     fn empty_registry_snapshots_cleanly() {
-        let s = Metrics::new().snapshot((0, 0), 0, 0, &LeaseReport::default());
+        let s = Metrics::new().snapshot();
+        assert_eq!(s.requests_total, 0);
+        assert!(s.requests_by_kind.is_empty());
         assert_eq!(s.p50_latency_us, 0);
         assert_eq!(s.p99_latency_us, 0);
-        assert_eq!(s.cache_hit_rate, 0.0);
         assert!(s.degradation_tallies.is_empty());
-        assert_eq!(s.lease_state, "standalone");
         assert_eq!(s.lease_renews, 0);
         assert_eq!(s.p50_renew_latency_us, 0);
     }
 
     #[test]
     fn lease_fields_flow_into_the_snapshot() {
+        // The lease state, cap, and journal counters come from the server;
+        // the e2e suites check those. The registry owns renewals, their
+        // latency, and observed evictions.
         let m = Metrics::new();
         for us in [100u64, 200, 300] {
             m.record_renew(us * 1000);
         }
-        let report = LeaseReport {
-            lease_state: "degraded".into(),
-            lease_budget_w: 7.5,
-            degraded_entries: 2,
-            journal_appends: 11,
-            journal_replayed: 4,
-            brownout_level: 2,
-            evicted_shards: 1,
-        };
-        let s = m.snapshot((0, 0), 1, 0, &report);
-        assert_eq!(s.lease_state, "degraded");
-        assert_eq!(s.lease_budget_w, 7.5);
-        assert_eq!(s.degraded_entries, 2);
+        m.add(Counter::EvictedShards, 1);
+        let s = m.snapshot();
         assert_eq!(s.lease_renews, 3);
         assert_eq!(s.p50_renew_latency_us, 200);
         assert_eq!(s.p99_renew_latency_us, 300);
-        assert_eq!(s.journal_appends, 11);
-        assert_eq!(s.journal_replayed, 4);
-        assert_eq!(s.brownout_level, 2);
         assert_eq!(s.evicted_shards, 1);
+        // Renewals never leak into the request reservoir.
+        assert_eq!(s.p99_latency_us, 0);
     }
 
     #[test]
@@ -459,7 +399,9 @@ mod tests {
         for i in 0..(LATENCY_RESERVOIR as u64 + 500) {
             m.record_request("select", i);
         }
-        assert_eq!(m.latencies_ns.lock().len(), LATENCY_RESERVOIR);
+        assert_eq!(m.latency.0.lock().samples.len(), LATENCY_RESERVOIR);
+        // The ring overwrote the oldest 500 samples, not arbitrary ones.
+        assert_eq!(m.latency.0.lock().samples.iter().min(), Some(&500));
     }
 
     #[test]
@@ -468,7 +410,7 @@ mod tests {
         m.record_rung("model");
         m.record_rung("model");
         m.record_rung("safe-min");
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        let s = m.snapshot();
         assert_eq!(s.degradation_tallies["model"], 2);
         assert_eq!(s.degradation_tallies["safe-min"], 1);
     }
@@ -483,7 +425,7 @@ mod tests {
         replayed.insert("safe-min".to_string(), 1u64);
         m.seed_rungs(&replayed);
         m.record_rung("model");
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        let s = m.snapshot();
         assert_eq!(s.degradation_tallies["model"], 4);
         assert_eq!(s.degradation_tallies["safe-min"], 1);
     }
@@ -491,10 +433,11 @@ mod tests {
     #[test]
     fn adaptation_counters_flow_into_the_snapshot() {
         let m = Metrics::new();
-        m.record_adapt_observation(0, 0);
-        m.record_adapt_observation(2, 1);
-        m.record_adapt_reselection();
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        m.add(Counter::AdaptObservations, 2);
+        m.add(Counter::DriftEvents, 2);
+        m.add(Counter::Reclassifications, 1);
+        m.add(Counter::AdaptReselections, 1);
+        let s = m.snapshot();
         assert_eq!(s.adapt_observations, 2);
         assert_eq!(s.drift_events, 2);
         assert_eq!(s.reclassifications, 1);
@@ -506,7 +449,7 @@ mod tests {
         // A snapshot serialized before the adaptation counters existed
         // must still deserialize (old recordings, mixed-version fleets).
         let m = Metrics::new();
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        let s = m.snapshot();
         let mut json = serde_json::to_string(&s).unwrap();
         for field in
             ["adapt_observations", "drift_events", "adapt_reselections", "reclassifications"]
@@ -524,7 +467,7 @@ mod tests {
         // Snapshots serialized before the overload layer existed lack the
         // shed/brownout/eviction fields; they must default to zero.
         let m = Metrics::new();
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        let s = m.snapshot();
         let mut json = serde_json::to_string(&s).unwrap();
         for field in ["sheds", "deadline_misses", "brownout_level", "evicted_shards"] {
             json = json.replace(&format!(",\"{field}\":0"), "");
@@ -538,10 +481,9 @@ mod tests {
     #[test]
     fn shed_and_deadline_miss_counters_flow_into_the_snapshot() {
         let m = Metrics::new();
-        m.record_shed();
-        m.record_shed();
-        m.record_deadline_miss();
-        let s = m.snapshot((0, 0), 0, 0, &LeaseReport::default());
+        m.add(Counter::Sheds, 2);
+        m.add(Counter::DeadlineMisses, 1);
+        let s = m.snapshot();
         assert_eq!(s.sheds, 2);
         assert_eq!(s.deadline_misses, 1);
         assert_eq!(s.brownout_level, 0);
@@ -555,7 +497,7 @@ mod tests {
         let m = Metrics::new();
         m.record_request("select", 10);
         m.record_rung("model");
-        let s = m.snapshot((1, 1), 1, 0, &LeaseReport::default());
+        let s = m.snapshot();
         let json = serde_json::to_string(&s).unwrap();
         let back: StatsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

@@ -96,8 +96,13 @@ pub enum Request {
     Shutdown,
 }
 
+/// Every [`Request::kind`] label. STATS counts requests per entry, in this
+/// order.
+pub const REQUEST_KINDS: [&str; 8] =
+    ["hello", "select", "batch", "run", "report", "stats", "bye", "shutdown"];
+
 impl Request {
-    /// Short label for metrics bucketing.
+    /// Short label for metrics bucketing (one of [`REQUEST_KINDS`]).
     pub fn kind(&self) -> &'static str {
         match self {
             Request::Hello => "hello",
@@ -401,6 +406,28 @@ mod tests {
         write_frame(&mut buf, msg).unwrap();
         let back: T = read_frame_blocking(&mut Cursor::new(&buf)).unwrap().unwrap();
         assert_eq!(&back, msg);
+    }
+
+    #[test]
+    fn every_request_kind_is_in_the_table() {
+        let one_of_each = [
+            Request::Hello,
+            Request::Select { kernel_id: "k".into(), deadline_ms: None, priority: 0 },
+            Request::Batch { kernel_ids: vec![], deadline_ms: None, priority: 0 },
+            Request::Run {
+                kernel_id: "k".into(),
+                iterations: 1,
+                idem: None,
+                deadline_ms: None,
+                priority: 0,
+            },
+            Request::Report { residual_w: 0.0, feedback: None },
+            Request::Stats,
+            Request::Bye,
+            Request::Shutdown,
+        ];
+        let kinds: Vec<&str> = one_of_each.iter().map(Request::kind).collect();
+        assert_eq!(kinds, REQUEST_KINDS);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::coordinator::CoordClient;
 use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
 use crate::lease::{CoordRequest, CoordResponse, ShardLease};
-use crate::metrics::{LeaseReport, Metrics};
+use crate::metrics::{Counter, Metrics, StatsSnapshot};
 use crate::protocol::{
     read_frame, write_frame, ProtocolError, ReadOutcome, ReportFeedback, Request, Response,
     Selection,
@@ -169,9 +169,6 @@ struct Shared {
     /// what the shed decision compares deadlines against (sessions must
     /// not pay a reservoir scan per request).
     est_p99_us: AtomicU64,
-    /// Times the lease client learned its lease was evicted by the
-    /// coordinator's health check (`unknown-lease` on renew).
-    evicted_observed: AtomicU64,
     /// Per-session online adaptation state, keyed by node id. A clean
     /// `Bye` removes the entry; a crash leaves it, mirroring the journal's
     /// replay semantics (orphans keep their rebuilt state).
@@ -184,6 +181,37 @@ struct Shared {
 fn journal_append(shared: &Shared, entry: &JournalEntry) {
     if let Some(journal) = &shared.journal {
         let _ = journal.append(entry);
+    }
+}
+
+impl Shared {
+    /// The one `STATS` snapshot path, behind both the wire `Stats` request
+    /// and [`ServerHandle::stats`]: the registry's own fields, plus the
+    /// cache, session, arbiter, lease, journal, and brownout state.
+    fn stats(&self) -> StatsSnapshot {
+        let (cache_hits, cache_misses) = self.engine.cache_counts();
+        let looked_up = cache_hits + cache_misses;
+        let (lease_state, lease_budget_w, degraded_entries) = match &self.lease {
+            Some(lease) => {
+                let lease = lease.lock();
+                (lease.state().name().to_string(), lease.cap_w(), lease.degraded_entries())
+            }
+            None => ("standalone".to_string(), self.config.global_cap_w, 0),
+        };
+        StatsSnapshot {
+            cache_hits,
+            cache_misses,
+            cache_hit_rate: if looked_up == 0 { 0.0 } else { cache_hits as f64 / looked_up as f64 },
+            active_sessions: self.active.load(Ordering::SeqCst) as u64,
+            arbiter_rebalances: self.arbiter.lock().rebalances(),
+            lease_state,
+            lease_budget_w,
+            degraded_entries,
+            journal_appends: self.journal.as_ref().map_or(0, |j| j.appended_entries()),
+            journal_replayed: self.recovery.as_ref().map_or(0, |r| r.replayed),
+            brownout_level: self.brownout_level.load(Ordering::SeqCst),
+            ..self.metrics.snapshot()
+        }
     }
 }
 
@@ -205,24 +233,15 @@ impl ServerHandle {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
+    /// The full `STATS` snapshot, exactly as a wire `Stats` request sees
+    /// it below brownout level 2.
+    pub fn stats(&self) -> StatsSnapshot {
+        self.shared.stats()
+    }
+
     /// Wire-protocol failures observed so far.
     pub fn protocol_errors(&self) -> u64 {
-        self.shared.metrics.protocol_errors()
-    }
-
-    /// Sessions currently connected.
-    pub fn active_sessions(&self) -> usize {
-        self.shared.active.load(Ordering::SeqCst)
-    }
-
-    /// `Run` requests answered from the idempotency memo so far.
-    pub fn idem_replays(&self) -> u64 {
-        self.shared.metrics.idem_replays()
-    }
-
-    /// The arbiter's current epoch.
-    pub fn arbiter_epoch(&self) -> u64 {
-        self.shared.arbiter.lock().epoch()
+        self.shared.metrics.get(Counter::ProtocolErrors)
     }
 
     /// `|global cap − Σ budgets|`, which the arbiter keeps at exactly zero
@@ -246,23 +265,9 @@ impl ServerHandle {
         }
     }
 
-    /// The cap the shard currently enforces: its lease budget, or the
-    /// configured global cap when standalone.
-    pub fn lease_cap_w(&self) -> f64 {
-        match &self.shared.lease {
-            Some(lease) => lease.lock().cap_w(),
-            None => self.shared.config.global_cap_w,
-        }
-    }
-
-    /// Times the shard has entered degraded mode.
-    pub fn degraded_entries(&self) -> u64 {
-        self.shared.lease.as_ref().map(|l| l.lock().degraded_entries()).unwrap_or(0)
-    }
-
     /// Successful lease renewals against the coordinator.
     pub fn lease_renews(&self) -> u64 {
-        self.shared.metrics.lease_renews()
+        self.shared.metrics.get(Counter::LeaseRenews)
     }
 
     /// Per-session adaptation-state digests, sorted by node id. The
@@ -275,32 +280,6 @@ impl ServerHandle {
             .iter()
             .map(|(node_id, predictor)| (*node_id, predictor.state_digest()))
             .collect()
-    }
-
-    /// Measured-feedback observations consumed by adaptive predictors.
-    pub fn adapt_observations(&self) -> u64 {
-        self.shared.metrics.adapt_observations()
-    }
-
-    /// Requests shed by the deadline gate so far.
-    pub fn sheds(&self) -> u64 {
-        self.shared.metrics.sheds()
-    }
-
-    /// Served requests that exceeded their own deadline in service.
-    pub fn deadline_misses(&self) -> u64 {
-        self.shared.metrics.deadline_misses()
-    }
-
-    /// The current brownout level (0 when the controller is disabled).
-    pub fn brownout_level(&self) -> u8 {
-        self.shared.brownout_level.load(Ordering::SeqCst)
-    }
-
-    /// Times this shard observed its lease evicted by the coordinator's
-    /// health check.
-    pub fn evictions_observed(&self) -> u64 {
-        self.shared.evicted_observed.load(Ordering::SeqCst)
     }
 
     /// Die like a SIGKILL: stop every session *without* journaling their
@@ -438,7 +417,6 @@ impl Server {
             lease,
             brownout_level: AtomicU8::new(0),
             est_p99_us: AtomicU64::new(0),
-            evicted_observed: AtomicU64::new(0),
             adapt: Mutex::new(BTreeMap::new()),
             model,
             config,
@@ -480,7 +458,7 @@ impl Server {
                 Ok((stream, _peer)) => {
                     let active = self.shared.active.load(Ordering::SeqCst);
                     if active >= self.shared.config.max_sessions {
-                        self.shared.metrics.record_overloaded();
+                        self.shared.metrics.add(Counter::Overloaded, 1);
                         let mut stream = stream;
                         let _ = write_frame(
                             &mut stream,
@@ -644,7 +622,7 @@ fn run_lease_client(shared: Arc<Shared>, target: String) {
                             if code == "unknown-lease"
                                 && matches!(request, CoordRequest::Renew { .. })
                             {
-                                shared.evicted_observed.fetch_add(1, Ordering::SeqCst);
+                                shared.metrics.add(Counter::EvictedShards, 1);
                             }
                             contact = None;
                             lease.on_released();
@@ -781,7 +759,7 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) => break,
             Err(err) => {
-                shared.metrics.record_protocol_error();
+                shared.metrics.add(Counter::ProtocolErrors, 1);
                 let _ = write_frame(
                     &mut stream,
                     &Response::Error { code: err.code().into(), detail: err.to_string() },
@@ -802,7 +780,7 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
             if !matches!(response, Response::ShedDeadline { .. })
                 && latency_ns > deadline_ms.saturating_mul(1_000_000)
             {
-                shared.metrics.record_deadline_miss();
+                shared.metrics.add(Counter::DeadlineMisses, 1);
             }
         }
         if write_frame(&mut stream, &response).is_err() {
@@ -832,7 +810,7 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
 /// selection for every classified kernel.
 fn apply_budget(shared: &Shared, rt: &mut CappedRuntime<Machine>, budget_w: f64) {
     if (rt.cap_w() - budget_w).abs() > 1e-9 && rt.try_set_cap(budget_w).is_ok() {
-        shared.metrics.record_reselection();
+        shared.metrics.add(Counter::Reselections, 1);
     }
 }
 
@@ -851,7 +829,7 @@ fn handle_request(
     if let Some((deadline_ms, priority)) = request.deadline() {
         let est_p99_us = shared.est_p99_us.load(Ordering::SeqCst);
         if should_shed(brownout_level, deadline_ms, priority, est_p99_us) {
-            shared.metrics.record_shed();
+            shared.metrics.add(Counter::Sheds, 1);
             return (Response::ShedDeadline { deadline_ms, priority, brownout_level }, false);
         }
     }
@@ -866,7 +844,7 @@ fn handle_request(
         Request::Batch { kernel_ids, .. } => {
             let limit = shared.config.max_batch;
             if kernel_ids.len() > limit {
-                shared.metrics.record_overloaded();
+                shared.metrics.add(Counter::Overloaded, 1);
                 return (
                     Response::Overloaded { load: kernel_ids.len() as u64, limit: limit as u64 },
                     false,
@@ -907,7 +885,7 @@ fn handle_request(
             // kernel again (exactly-once in effect).
             if let Some(key) = idem {
                 if let Some(memo) = shared.engine.idem_lookup(key) {
-                    shared.metrics.record_idem_replay();
+                    shared.metrics.add(Counter::IdemReplays, 1);
                     return (memo, false);
                 }
             }
@@ -985,12 +963,7 @@ fn handle_request(
             (Response::Budget { budget_w: rt.cap_w() }, false)
         }
         Request::Stats => {
-            let mut snapshot = shared.metrics.snapshot(
-                shared.engine.cache_counts(),
-                shared.active.load(Ordering::SeqCst) as u64,
-                shared.arbiter.lock().rebalances(),
-                &lease_report(shared),
-            );
+            let mut snapshot = shared.stats();
             // Brownout level 2 strips the detail maps: the headline
             // counters (and the brownout level itself) still flow, but
             // the per-kind and per-rung breakdowns are optional work.
@@ -1034,7 +1007,7 @@ fn select_for(
             .selection(kernel_id, &profile, cap_w)
     };
     if selection.corrected {
-        shared.metrics.record_adapt_reselection();
+        shared.metrics.add(Counter::AdaptReselections, 1);
     }
     let point = profile.point_for(&selection.config);
     Ok(Selection {
@@ -1087,7 +1060,9 @@ fn observe_feedback(
                 .iter()
                 .filter(|e| matches!(e, DriftEvent::ClusterMismatch { .. }))
                 .count() as u64;
-            shared.metrics.record_adapt_observation(outcome.events.len() as u64, mismatches);
+            shared.metrics.add(Counter::AdaptObservations, 1);
+            shared.metrics.add(Counter::DriftEvents, outcome.events.len() as u64);
+            shared.metrics.add(Counter::Reclassifications, mismatches);
             journal_append(
                 shared,
                 &JournalEntry::AdaptObs {
@@ -1110,26 +1085,6 @@ fn observe_feedback(
         Err(e) => {
             Err(Box::new(Response::Error { code: "bad-feedback".into(), detail: e.to_string() }))
         }
-    }
-}
-
-/// Assemble the lease/journal side of a `Stats` snapshot.
-fn lease_report(shared: &Shared) -> LeaseReport {
-    let (lease_state, lease_budget_w, degraded_entries) = match &shared.lease {
-        Some(lease) => {
-            let lease = lease.lock();
-            (lease.state().name().to_string(), lease.cap_w(), lease.degraded_entries())
-        }
-        None => ("standalone".to_string(), shared.config.global_cap_w, 0),
-    };
-    LeaseReport {
-        lease_state,
-        lease_budget_w,
-        degraded_entries,
-        journal_appends: shared.journal.as_ref().map(|j| j.appended_entries()).unwrap_or(0),
-        journal_replayed: shared.recovery.as_ref().map(|r| r.replayed).unwrap_or(0),
-        brownout_level: shared.brownout_level.load(Ordering::SeqCst),
-        evicted_shards: shared.evicted_observed.load(Ordering::SeqCst),
     }
 }
 

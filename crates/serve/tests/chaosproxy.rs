@@ -324,10 +324,10 @@ fn duplicated_frames_do_not_double_execute_keyed_runs() {
     // The server saw the frame twice; the duplicate was answered from the
     // idempotency memo, not executed again.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while handle.idem_replays() == 0 && std::time::Instant::now() < deadline {
+    while handle.stats().idem_replays == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(handle.idem_replays(), 1, "the duplicated Run must replay, not re-execute");
+    assert_eq!(handle.stats().idem_replays, 1, "the duplicated Run must replay, not re-execute");
     assert_eq!(proxy_handle.stats().duplicated, 1);
 
     proxy_handle.shutdown();

@@ -113,7 +113,7 @@ fn wait_until(timeout: Duration, mut check: impl FnMut() -> bool) -> bool {
 }
 
 fn fleet_cap_w(shards: &[ServerHandle]) -> f64 {
-    shards.iter().map(|s| s.lease_cap_w()).sum()
+    shards.iter().map(|s| s.stats().lease_budget_w).sum()
 }
 
 #[test]
@@ -301,7 +301,7 @@ fn coordinator_sigkill_and_restart_readopts_shards_without_double_granting() {
         max_during_outage
     );
     assert!(
-        handles.iter().any(|h| h.degraded_entries() >= 1),
+        handles.iter().any(|h| h.stats().degraded_entries >= 1),
         "missed renewals drive shards into degraded mode"
     );
 
@@ -371,10 +371,10 @@ fn a_sigkilled_shards_lease_expires_to_the_floor_and_frees_the_rest() {
     assert!(stats.live_committed_w + stats.encumbered_w <= GLOBAL_CAP_W + 1e-9);
     assert!(
         wait_until(Duration::from_secs(10), || {
-            alive.lease_cap_w() >= GLOBAL_CAP_W - FLOOR_W - 1e-6
+            alive.stats().lease_budget_w >= GLOBAL_CAP_W - FLOOR_W - 1e-6
         }),
         "the survivor absorbs the freed budget, got {} W",
-        alive.lease_cap_w()
+        alive.stats().lease_budget_w
     );
 
     alive.shutdown();
@@ -418,9 +418,11 @@ fn an_evicted_shards_floor_is_reclaimed_and_a_replacement_readmits() {
     // The survivor absorbs the FULL global cap — not cap minus floor, the
     // ceiling the expiry-only path converges to.
     assert!(
-        wait_until(Duration::from_secs(10), || { alive.lease_cap_w() >= GLOBAL_CAP_W - 1e-6 }),
+        wait_until(Duration::from_secs(10), || {
+            alive.stats().lease_budget_w >= GLOBAL_CAP_W - 1e-6
+        }),
         "the survivor absorbs the whole cap, got {} W",
-        alive.lease_cap_w()
+        alive.stats().lease_budget_w
     );
 
     // A replacement shard re-admits against the reclaimed pool as a fresh
@@ -474,7 +476,7 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
         wait_until(Duration::from_secs(10), || shard.lease_state() == "leased"),
         "the shard leases through the quiet proxy"
     );
-    let last_grant = shard.lease_cap_w();
+    let last_grant = shard.stats().lease_budget_w;
     assert!(last_grant > FLOOR_W);
 
     // Partition for ~32 renewal intervals: every renewal inside the
@@ -482,31 +484,32 @@ fn a_partitioned_shard_degrades_below_its_last_grant_and_recovers() {
     // grant, and never below min(floor, last grant).
     proxy_handle.partition(800);
     assert!(
-        wait_until(Duration::from_secs(5), || shard.lease_state() == "degraded"),
+        wait_until(Duration::from_secs(5), || shard.stats().lease_state == "degraded"),
         "missed renewals enter degraded mode"
     );
     assert!(
-        wait_until(Duration::from_millis(600), || shard.lease_cap_w() < last_grant - 1e-9),
+        wait_until(Duration::from_millis(600), || shard.stats().lease_budget_w < last_grant - 1e-9),
         "the cap decays during the partition, still {} W",
-        shard.lease_cap_w()
+        shard.stats().lease_budget_w
     );
     let deadline = Instant::now() + Duration::from_millis(150);
     while Instant::now() < deadline {
-        let cap = shard.lease_cap_w();
+        let cap = shard.stats().lease_budget_w;
         assert!(cap <= last_grant + 1e-9, "degraded cap {cap} exceeds last grant {last_grant}");
         assert!(cap >= FLOOR_W.min(last_grant) - 1e-9, "degraded cap {cap} fell below the floor");
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(shard.degraded_entries() >= 1);
+    assert!(shard.stats().degraded_entries >= 1);
 
     // The window closes; renewals flow again and the lease recovers.
     assert!(
         wait_until(Duration::from_secs(10), || {
-            shard.lease_state() == "leased" && (shard.lease_cap_w() - GLOBAL_CAP_W).abs() < 1e-6
+            shard.lease_state() == "leased"
+                && (shard.stats().lease_budget_w - GLOBAL_CAP_W).abs() < 1e-6
         }),
         "the shard recovers after the partition, state {} cap {} W",
         shard.lease_state(),
-        shard.lease_cap_w()
+        shard.stats().lease_budget_w
     );
     assert!(proxy_handle.stats().blackholed > 0, "the partition actually swallowed traffic");
 

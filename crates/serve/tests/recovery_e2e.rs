@@ -144,6 +144,10 @@ fn kill_and_restart_resumes_byte_identical_selections() {
                 s.cache_hits > 0,
                 "phase-2 selects on phase-1 kernels must hit the re-warmed cache"
             );
+            // The journal counters flow into the snapshot: what replay read
+            // at bind time, and what this process has appended since.
+            assert_eq!(s.journal_replayed, recovery.replayed);
+            assert!(s.journal_appends > 0, "phase-2 admissions are journaled");
         }
         other => panic!("expected Stats, got {other:?}"),
     }
@@ -208,7 +212,7 @@ fn kill_and_restart_replays_adaptation_state_and_rung_tallies() {
             other => panic!("expected Stats, got {other:?}"),
         };
         assert!(!tallies.is_empty(), "the runs never recorded a rung");
-        assert!(handle.adapt_observations() > 0, "feedback never reached a predictor");
+        assert!(handle.stats().adapt_observations > 0, "feedback never reached a predictor");
         let digests = handle.adapt_digests();
         assert!(!digests.is_empty(), "the session never grew adaptation state");
         handle.simulate_crash();

@@ -3,7 +3,9 @@
 //! errors, hostile frames, and both shutdown paths.
 
 use acs_core::{train, KernelProfile, TrainedModel, TrainingParams};
-use acs_serve::{ArbiterPolicy, Client, Request, Response, ServeConfig, ServeError, Server};
+use acs_serve::{
+    ArbiterPolicy, Client, Request, Response, ServeConfig, ServeError, Server, StatsSnapshot,
+};
 use acs_sim::Machine;
 use std::io::Write;
 use std::sync::OnceLock;
@@ -52,6 +54,11 @@ fn hello_select_run_stats_bye() {
         other => panic!("expected Welcome, got {other:?}"),
     };
 
+    // Nothing looked up yet: the hit rate is 0, not NaN.
+    let fresh = handle.stats();
+    assert_eq!((fresh.cache_hits, fresh.cache_misses, fresh.cache_hit_rate), (0, 0, 0.0));
+    assert_eq!(fresh.active_sessions, 1);
+
     let id = &kernel_ids(1)[0];
     match client
         .call(&Request::Select { kernel_id: id.clone(), deadline_ms: None, priority: 0 })
@@ -84,8 +91,20 @@ fn hello_select_run_stats_bye() {
         other => panic!("expected Ran, got {other:?}"),
     }
 
+    // The handle and the wire read the same snapshot path. The server is
+    // quiescent between the two reads (a Stats request is counted only
+    // after its reply is built), so only the wall-clock quantiles may move.
+    let local = handle.stats();
     match client.call(&Request::Stats).unwrap() {
         Response::Stats(s) => {
+            let masked = |s: &StatsSnapshot| StatsSnapshot {
+                p50_latency_us: 0,
+                p99_latency_us: 0,
+                p50_renew_latency_us: 0,
+                p99_renew_latency_us: 0,
+                ..s.clone()
+            };
+            assert_eq!(masked(&s), masked(&local));
             assert!(s.requests_total >= 3);
             assert_eq!(s.requests_by_kind["select"], 1);
             assert_eq!(s.requests_by_kind["run"], 1);
@@ -339,7 +358,7 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         }
         other => panic!("expected ShedDeadline, got {other:?}"),
     }
-    assert_eq!(handle.sheds(), 1);
+    assert_eq!(handle.stats().sheds, 1);
 
     // A positive deadline is served below full brownout — and a run long
     // enough to blow through it records a miss for the served request.
@@ -356,8 +375,8 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
         Response::Ran { iterations, .. } => assert_eq!(iterations, 20_000),
         other => panic!("expected Ran, got {other:?}"),
     }
-    assert_eq!(handle.sheds(), 1, "a served request is not a shed");
-    assert_eq!(handle.deadline_misses(), 1);
+    assert_eq!(handle.stats().sheds, 1, "a served request is not a shed");
+    assert_eq!(handle.stats().deadline_misses, 1);
 
     // Requests without a deadline never enter the gate: the old-client
     // wire shape is untouched by the overload machinery.
@@ -376,6 +395,45 @@ fn expired_deadlines_shed_and_misses_surface_in_stats() {
             assert_eq!(s.deadline_misses, 1);
             assert_eq!(s.brownout_level, 0, "disabled controller never leaves level 0");
             assert_eq!(s.evicted_shards, 0, "standalone server observes no evictions");
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn brownout_level_flows_into_stats_and_strips_the_detail_maps() {
+    // A 1 µs target: one multi-millisecond Run puts the reservoir p99 far
+    // beyond 4× the target, so the controller climbs to level 3.
+    let (addr, handle, join) = spawn(ServeConfig { brownout_us: 1, ..ServeConfig::default() });
+    let mut client = Client::connect(&addr).unwrap();
+    assert!(matches!(client.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+    let run = Request::Run {
+        kernel_id: kernel_ids(1)[0].clone(),
+        iterations: 20_000,
+        idem: None,
+        deadline_ms: None,
+        priority: 0,
+    };
+    assert!(matches!(client.call(&run).unwrap(), Response::Ran { .. }));
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().brownout_level < 3 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let local = handle.stats();
+    assert_eq!(local.brownout_level, 3);
+    assert_eq!(local.requests_by_kind["run"], 1, "the handle's snapshot keeps its detail");
+
+    // At level ≥ 2 the wire reply drops the per-kind and per-rung maps;
+    // the headline counters and the level itself still flow.
+    match client.call(&Request::Stats).unwrap() {
+        Response::Stats(s) => {
+            assert_eq!(s.brownout_level, 3);
+            assert!(s.requests_by_kind.is_empty());
+            assert!(s.degradation_tallies.is_empty());
+            assert_eq!(s.requests_total, 2);
         }
         other => panic!("expected Stats, got {other:?}"),
     }

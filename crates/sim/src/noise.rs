@@ -37,6 +37,24 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One step of the stateful SplitMix64 generator: advance `state` by the
+/// golden gamma and return [`splitmix64`] of the old state. The simulator
+/// itself stays counter-mode; this stream is for the layers around it
+/// (kernel generation, bootstrap resampling, load and chaos schedules,
+/// idempotency keys), where a seed-replayable sequence is what is wanted.
+#[inline]
+pub fn splitmix64_step(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
+    *state = state.wrapping_add(0x9E3779B97F4A7C15);
+    z
+}
+
+/// A uniform draw in `[0, 1)` from the top 53 bits of [`splitmix64_step`].
+#[inline]
+pub fn unit_f64(state: &mut u64) -> f64 {
+    (splitmix64_step(state) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 /// FNV-1a hash of a byte string, used to fold kernel names into the seed.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -159,6 +177,17 @@ mod tests {
         assert!((0.5..=2.0).contains(&j));
         // sigma=0 means exactly no jitter
         assert_eq!(src.jitter(Stream::Timing, 0.0), 1.0);
+    }
+
+    #[test]
+    fn step_is_the_classic_splitmix64_generator() {
+        // The reference sequence for seed 0 (Vigna's splitmix64.c).
+        let mut state = 0;
+        assert_eq!(splitmix64_step(&mut state), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64_step(&mut state), 0x6E78_9E6A_A1B9_65F4);
+        assert_eq!(state, 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(2));
+        let u = unit_f64(&mut state);
+        assert!((0.0..1.0).contains(&u));
     }
 
     #[test]
