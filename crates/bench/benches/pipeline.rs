@@ -155,6 +155,24 @@ fn bench_extensions(c: &mut Criterion) {
             black_box(sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise))
         })
     });
+
+    // A long kernel: a 1,024-segment trace read through over 1,000 sensor
+    // windows, where per-window integration from the first segment would
+    // cost samples × segments.
+    let long_kernel =
+        KernelCharacteristics { compute_time_s: 1.0, memory_time_s: 0.4, ..Default::default() };
+    let long_cfg = Configuration::enumerate()[0];
+    let long_trace = acs_sim::trace_for(&long_kernel, &long_cfg, &cal);
+    let sensor = acs_sim::PowerSensor::default();
+    assert_eq!(long_trace.segments().len(), 1024);
+    assert!(sensor.samples_for(long_trace.total_s()) >= 1000);
+    c.bench_function("trace_build_and_sense_long", |b| {
+        let noise = acs_sim::NoiseSource::new(1, "bench-long", long_cfg.index(), 0);
+        b.iter(|| {
+            let trace = acs_sim::trace_for(black_box(&long_kernel), &long_cfg, &cal);
+            black_box(sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise))
+        })
+    });
 }
 
 criterion_group!(

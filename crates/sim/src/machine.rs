@@ -11,6 +11,7 @@ use crate::kernel::KernelCharacteristics;
 use crate::noise::{NoiseSource, Stream};
 use crate::power::{PowerBreakdown, PowerCalibration};
 use crate::sensor::PowerSensor;
+use crate::trace::{cpu_trace, gpu_trace};
 use serde::{Deserialize, Serialize};
 
 /// One observed kernel execution.
@@ -128,11 +129,12 @@ impl Machine {
         run: u64,
     ) -> KernelRun {
         let fam = self.family.descriptor();
-        let noise = NoiseSource::new(self.seed, &kernel.id(), config.index(), run);
+        let id = kernel.id();
+        let noise = NoiseSource::new(self.seed, &id, config.index(), run);
         let t_jitter = noise.jitter(Stream::Timing, self.timing_sigma);
         let p_jitter = noise.jitter(Stream::Power, self.power_sigma);
 
-        let (time_s, true_power, counter_inputs) = match config.device {
+        let (time_s, true_power, counter_inputs, mut trace) = match config.device {
             Device::Cpu => {
                 let t = cpu_time_on(fam, kernel, config);
                 let p = self.power_cal.cpu_run_power_on(fam, kernel, config, &t);
@@ -144,7 +146,8 @@ impl Machine {
                     threads: config.threads,
                     cpu_freq_ghz: fam.cpu_point(config.cpu_pstate).freq_ghz,
                 };
-                (t.total_s * t_jitter, p, ci)
+                let trace = cpu_trace(fam, kernel, config, &self.power_cal, &t);
+                (t.total_s * t_jitter, p, ci, trace)
             }
             Device::Gpu => {
                 let t = gpu_time_on(fam, kernel, config);
@@ -157,7 +160,8 @@ impl Machine {
                     threads: 1,
                     cpu_freq_ghz: fam.cpu_point(config.cpu_pstate).freq_ghz,
                 };
-                (t.total_s * t_jitter, p, ci)
+                let trace = gpu_trace(fam, kernel, config, &self.power_cal, &t);
+                (t.total_s * t_jitter, p, ci, trace)
             }
         };
 
@@ -171,10 +175,9 @@ impl Machine {
         // each plane through an independent accumulator, as the firmware
         // exposes them. Jitter applies to the waveform so the sensed and
         // true powers describe the same execution.
-        let mut trace = crate::trace::trace_for_on(fam, kernel, config, &self.power_cal);
         trace.scale_time(t_jitter);
         trace.scale_power(p_jitter);
-        let plane_noise = NoiseSource::new(self.seed ^ 0xA5A5, &kernel.id(), config.index(), run);
+        let plane_noise = NoiseSource::new(self.seed ^ 0xA5A5, &id, config.index(), run);
         let power = PowerBreakdown {
             cpu_plane_w: self.sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise),
             gpu_nb_plane_w: self.sensor.estimate_trace(&trace, |p| p.gpu_nb_plane_w, &plane_noise),

@@ -9,9 +9,9 @@
 //! error, exactly like hardware.
 
 use crate::config::{Configuration, Device};
-use crate::cpu::cpu_time_on;
+use crate::cpu::{cpu_time_on, CpuTiming};
 use crate::family::{FamilyId, MachineFamily};
-use crate::gpu::gpu_time_on;
+use crate::gpu::{gpu_time_on, GpuTiming};
 use crate::kernel::KernelCharacteristics;
 use crate::noise::{NoiseSource, Stream};
 use crate::power::{PowerBreakdown, PowerCalibration};
@@ -133,13 +133,38 @@ impl PowerTrace {
     /// Time-average of `plane` over the interval `[t0, t1)`, by exact
     /// integration of the piecewise-constant signal.
     pub fn window_average(&self, plane: fn(&PowerBreakdown) -> f64, t0: f64, t1: f64) -> f64 {
+        self.window_average_from(&mut Cursor::default(), plane, t0, t1)
+    }
+
+    /// [`PowerTrace::window_average`] resumed at `cursor`, which first
+    /// advances past every segment ending at or before `t0` (those add
+    /// nothing to the window). Windows taken in order of non-decreasing
+    /// `t0` therefore visit each segment a bounded number of times, and
+    /// every floating-point operation happens in the same order as a scan
+    /// from the first segment, so the result is bit-identical.
+    fn window_average_from(
+        &self,
+        cursor: &mut Cursor,
+        plane: fn(&PowerBreakdown) -> f64,
+        t0: f64,
+        t1: f64,
+    ) -> f64 {
         if t1 <= t0 || self.segments.is_empty() {
             return 0.0;
         }
+        while let Some(s) = self.segments.get(cursor.index) {
+            let seg_end = cursor.start_s + s.duration_s;
+            if seg_end <= t0 {
+                cursor.index += 1;
+                cursor.start_s = seg_end;
+            } else {
+                break;
+            }
+        }
         let mut acc = 0.0;
         let mut covered = 0.0;
-        let mut seg_start = 0.0;
-        for s in &self.segments {
+        let mut seg_start = cursor.start_s;
+        for s in &self.segments[cursor.index..] {
             let seg_end = seg_start + s.duration_s;
             let lo = t0.max(seg_start);
             let hi = t1.min(seg_end);
@@ -163,6 +188,15 @@ impl PowerTrace {
     }
 }
 
+/// Forward-scan position in a trace: the first segment that may overlap
+/// the next window, and that segment's start time (summed segment by
+/// segment from zero, exactly as a scan from the first segment sums it).
+#[derive(Debug, Default)]
+struct Cursor {
+    index: usize,
+    start_s: f64,
+}
+
 /// Build the phase trace of one kernel execution (no noise applied).
 pub fn trace_for(
     kernel: &KernelCharacteristics,
@@ -180,17 +214,35 @@ pub fn trace_for_on(
     cal: &PowerCalibration,
 ) -> PowerTrace {
     match config.device {
-        Device::Cpu => {
-            let t = cpu_time_on(family, kernel, config);
-            let (busy, stall) = cal.cpu_phase_powers_on(family, kernel, config);
-            PowerTrace::interleaved((t.busy_s, busy), (t.memory_s, stall))
-        }
-        Device::Gpu => {
-            let t = gpu_time_on(family, kernel, config);
-            let (host, device) = cal.gpu_phase_powers_on(family, kernel, config, &t);
-            PowerTrace::interleaved((t.host_s, host), (t.device_s, device))
-        }
+        Device::Cpu => cpu_trace(family, kernel, config, cal, &cpu_time_on(family, kernel, config)),
+        Device::Gpu => gpu_trace(family, kernel, config, cal, &gpu_time_on(family, kernel, config)),
     }
+}
+
+/// The CPU phase trace (compute-busy vs. memory-stall) for timing `t`
+/// already computed for `kernel` at `config`.
+pub(crate) fn cpu_trace(
+    family: &MachineFamily,
+    kernel: &KernelCharacteristics,
+    config: &Configuration,
+    cal: &PowerCalibration,
+    t: &CpuTiming,
+) -> PowerTrace {
+    let (busy, stall) = cal.cpu_phase_powers_on(family, kernel, config);
+    PowerTrace::interleaved((t.busy_s, busy), (t.memory_s, stall))
+}
+
+/// The GPU phase trace (host vs. device) for timing `t` already computed
+/// for `kernel` at `config`.
+pub(crate) fn gpu_trace(
+    family: &MachineFamily,
+    kernel: &KernelCharacteristics,
+    config: &Configuration,
+    cal: &PowerCalibration,
+    t: &GpuTiming,
+) -> PowerTrace {
+    let (host, device) = cal.gpu_phase_powers_on(family, kernel, config, t);
+    PowerTrace::interleaved((t.host_s, host), (t.device_s, device))
 }
 
 impl PowerSensor {
@@ -212,10 +264,13 @@ impl PowerSensor {
         }
         let n = self.samples_for(trace.total_s()).min(10_000);
         let dt = trace.total_s() / n as f64;
+        // Lane windows start in increasing order, so one cursor walks the
+        // trace once: O(samples + segments) rather than O(samples × segments).
+        let mut cursor = Cursor::default();
         let mut acc = 0.0;
         for lane in 0..n {
             let t0 = lane as f64 * dt;
-            let window = trace.window_average(plane, t0, t0 + dt)
+            let window = trace.window_average_from(&mut cursor, plane, t0, t0 + dt)
                 * (1.0 + self.noise_sigma * noise.standard_normal(Stream::Sensor, lane));
             acc += self.quantize_pub(window.max(0.0));
         }
@@ -349,6 +404,52 @@ mod tests {
         assert!((past - 2.0).abs() < 1e-9, "{past}");
         // Degenerate window.
         assert_eq!(trace.window_average(|p| p.cpu_plane_w, 0.5, 0.5), 0.0);
+    }
+
+    #[test]
+    fn windows_on_segment_boundaries_skip_the_ending_segment() {
+        // 1 s over the 512-cycle cap: every segment lasts 2^-10 s, so
+        // segment ends and 1024 Hz window edges are exact binary fractions
+        // and each window starts exactly where a segment ends.
+        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 1.0 };
+        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 3.0 };
+        let trace = PowerTrace::interleaved((0.5, a), (0.5, b));
+        assert_eq!(trace.segments().len(), 1024);
+        let dt = 1.0 / 1024.0;
+        let mut cursor = Cursor::default();
+        for lane in 0..1024 {
+            let t0 = lane as f64 * dt;
+            let resumed = trace.window_average_from(&mut cursor, |p| p.cpu_plane_w, t0, t0 + dt);
+            let fresh = trace.window_average(|p| p.cpu_plane_w, t0, t0 + dt);
+            assert_eq!(resumed.to_bits(), fresh.to_bits(), "lane {lane}");
+            // The segment ending at t0 adds nothing: each window reads
+            // exactly its own phase.
+            assert_eq!(resumed, if lane % 2 == 0 { 10.0 } else { 2.0 }, "lane {lane}");
+            assert_eq!(cursor.index, lane);
+        }
+        let sensor = PowerSensor { sample_hz: 1024.0, quantum_w: 0.0, noise_sigma: 0.0 };
+        let noise = NoiseSource::new(0, "boundary", 0, 0);
+        assert_eq!(sensor.estimate_trace(&trace, |p| p.cpu_plane_w, &noise), 6.0);
+        assert_eq!(sensor.estimate_trace(&trace, |p| p.gpu_nb_plane_w, &noise), 2.0);
+    }
+
+    #[test]
+    fn windows_past_the_end_hold_the_last_segment() {
+        let a = PowerBreakdown { cpu_plane_w: 10.0, gpu_nb_plane_w: 0.0 };
+        let b = PowerBreakdown { cpu_plane_w: 2.0, gpu_nb_plane_w: 0.0 };
+        let trace = PowerTrace::interleaved((0.002, a), (0.002, b));
+        let end = trace.total_s();
+        let windows = [(0.0, end / 2.0), (end - 1e-4, end + 1e-4), (end + 1.0, end + 2.0)];
+        let mut cursor = Cursor::default();
+        for (t0, t1) in windows {
+            let resumed = trace.window_average_from(&mut cursor, |p| p.cpu_plane_w, t0, t1);
+            let fresh = trace.window_average(|p| p.cpu_plane_w, t0, t1);
+            assert_eq!(resumed.to_bits(), fresh.to_bits(), "[{t0}, {t1})");
+        }
+        // The last window lies wholly past the end: the cursor has passed
+        // every segment and the window reads the last phase's power.
+        assert_eq!(cursor.index, trace.segments().len());
+        assert_eq!(trace.window_average(|p| p.cpu_plane_w, end + 1.0, end + 2.0), 2.0);
     }
 
     #[test]

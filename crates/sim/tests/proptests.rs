@@ -1,9 +1,10 @@
 //! Property-based tests for the APU simulator: physical invariants that
 //! must hold for *every* valid kernel, not just the shipped suite.
 
+use acs_sim::noise::Stream;
 use acs_sim::{
     Configuration, CpuPState, Device, FamilyId, GpuPState, KernelCharacteristics, Machine,
-    NoiseSource,
+    NoiseSource, PowerBreakdown, PowerSensor, PowerTrace,
 };
 use proptest::prelude::*;
 
@@ -57,6 +58,82 @@ fn kernel_strategy() -> impl Strategy<Value = KernelCharacteristics> {
                 weight: 1.0,
             }
         })
+}
+
+/// Strategy producing power traces as the sensor reads them: single-phase
+/// or two-phase interleaved, from 20 µs to 1 s — or 1–3 s, long enough to
+/// hit the 512-cycle segment cap and, at high sample rates, the sensor's
+/// 10,000-sample cap — then time- and power-scaled like run jitter.
+fn trace_strategy() -> impl Strategy<Value = PowerTrace> {
+    (
+        0u8..3,        // shape: single-phase, interleaved, long interleaved
+        -4.7..0.0f64,  // log10 of the duration, seconds
+        1.0..3.0f64,   // long duration, seconds
+        0.02..0.98f64, // share of the duration in the leading phase
+        (0.0..60.0f64, 0.0..60.0f64, 0.0..60.0f64, 0.0..60.0f64), // phase powers, W
+        (0.5..2.0f64, 0.5..2.0f64), // scale_time, scale_power factors
+    )
+        .prop_map(|(shape, log_s, long_s, share, (ca, ga, cb, gb), (ts, ps))| {
+            let a = PowerBreakdown { cpu_plane_w: ca, gpu_nb_plane_w: ga };
+            let b = PowerBreakdown { cpu_plane_w: cb, gpu_nb_plane_w: gb };
+            let total = if shape == 2 { long_s } else { 10f64.powf(log_s) };
+            let mut trace = if shape == 0 {
+                PowerTrace::constant(total, a)
+            } else {
+                PowerTrace::interleaved((total * share, a), (total * (1.0 - share), b))
+            };
+            trace.scale_time(ts);
+            trace.scale_power(ps);
+            trace
+        })
+}
+
+/// Exact integration of `plane` over `[t0, t1)` by a scan from the first
+/// segment, written independently of `PowerTrace::window_average`.
+fn scan_from_zero(trace: &PowerTrace, plane: fn(&PowerBreakdown) -> f64, t0: f64, t1: f64) -> f64 {
+    let Some(last) = trace.segments().last() else { return 0.0 };
+    if t1 <= t0 {
+        return 0.0;
+    }
+    let (mut acc, mut covered, mut seg_start) = (0.0, 0.0, 0.0);
+    for s in trace.segments() {
+        let seg_end = seg_start + s.duration_s;
+        let (lo, hi) = (t0.max(seg_start), t1.min(seg_end));
+        if hi > lo {
+            acc += plane(&s.power) * (hi - lo);
+            covered += hi - lo;
+        }
+        seg_start = seg_end;
+        if seg_start >= t1 {
+            break;
+        }
+    }
+    if covered < (t1 - t0) - 1e-15 {
+        let rest = (t1 - t0) - covered;
+        acc += plane(&last.power) * rest;
+        covered += rest;
+    }
+    acc / covered
+}
+
+/// `PowerSensor::estimate_trace` written as independent per-window
+/// integrations: one public `window_average` call per sample lane.
+fn per_window_estimate(
+    sensor: &PowerSensor,
+    trace: &PowerTrace,
+    plane: fn(&PowerBreakdown) -> f64,
+    noise: &NoiseSource,
+) -> f64 {
+    let n = sensor.samples_for(trace.total_s()).min(10_000);
+    let dt = trace.total_s() / n as f64;
+    let mut acc = 0.0;
+    for lane in 0..n {
+        let t0 = lane as f64 * dt;
+        let window = trace.window_average(plane, t0, t0 + dt)
+            * (1.0 + sensor.noise_sigma * noise.standard_normal(Stream::Sensor, lane));
+        acc += sensor.quantize_pub(window.max(0.0));
+    }
+    acc / n as f64
 }
 
 proptest! {
@@ -278,6 +355,41 @@ proptest! {
             let t = m.run(&k, &Configuration::cpu(threads, p)).time_s;
             prop_assert!(t <= prev + 1e-15, "{family}: time must not rise with frequency");
             prev = t;
+        }
+    }
+
+    #[test]
+    fn sensor_estimate_equals_per_window_integration(
+        trace in trace_strategy(),
+        sample_hz in 100.0..=10_000.0f64,
+        seed in 0u64..1000,
+    ) {
+        // The estimator's single forward pass must reproduce independent
+        // per-window integration bit for bit (goldens depend on this).
+        let sensor = PowerSensor { sample_hz, ..PowerSensor::default() };
+        let noise = NoiseSource::new(seed, "prop-trace", 0, 0);
+        let planes: [fn(&PowerBreakdown) -> f64; 3] =
+            [|p| p.cpu_plane_w, |p| p.gpu_nb_plane_w, |p| p.total_w()];
+        for plane in planes {
+            let fast = sensor.estimate_trace(&trace, plane, &noise);
+            let reference = per_window_estimate(&sensor, &trace, plane, &noise);
+            prop_assert_eq!(fast.to_bits(), reference.to_bits(), "{} vs {}", fast, reference);
+        }
+    }
+
+    #[test]
+    fn window_average_equals_scan_from_zero(
+        trace in trace_strategy(),
+        windows in 1u64..2000,
+        offset in -0.5..0.5f64,
+    ) {
+        // Windows on a shifted sample grid, running one window past the end.
+        let dt = trace.total_s() / windows as f64;
+        for lane in 0..=windows {
+            let t0 = (lane as f64 + offset) * dt;
+            let got = trace.window_average(|p| p.total_w(), t0, t0 + dt);
+            let want = scan_from_zero(&trace, |p| p.total_w(), t0, t0 + dt);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "[{}, {}): {} vs {}", t0, t0 + dt, got, want);
         }
     }
 }
