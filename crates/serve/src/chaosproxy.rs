@@ -38,17 +38,15 @@
 //! drop — never a panic, and never a poisoned arbiter (budget
 //! conservation holds after every disconnect).
 
-use crate::protocol::MAX_FRAME_LEN;
-use crate::server::{sig, ServeError};
+use crate::net;
+use crate::protocol::{frame_header, read_raw_frame, write_raw_frame, ProtocolError, ReadOutcome};
+use crate::server::ServeError;
 use acs_sim::noise::{splitmix64_step, unit_f64};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Accept-loop poll interval, matching the server's.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Pump read timeout; bounds shutdown latency.
 const PUMP_READ_TIMEOUT: Duration = Duration::from_millis(50);
@@ -275,12 +273,7 @@ impl ChaosProxy {
     /// forward every connection to `upstream` under `plan`.
     pub fn bind(listen: &str, upstream: &str, plan: ChaosPlan) -> Result<Self, ServeError> {
         plan.validate().map_err(|detail| ServeError::Bind { addr: listen.into(), detail })?;
-        let listener = TcpListener::bind(listen)
-            .map_err(|e| ServeError::Bind { addr: listen.into(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: listen.into(), detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
+        let (listener, addr) = net::bind(listen)?;
         Ok(Self {
             listener,
             addr,
@@ -317,30 +310,11 @@ impl ChaosProxy {
 
     /// Proxy until SIGINT or [`ChaosProxyHandle::shutdown`], then drain.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
-        let mut pumps: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((client, _peer)) => {
-                    let conn_id = self.shared.connections.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    pumps.push(std::thread::spawn(move || handle_conn(shared, client, conn_id)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for pump in pumps {
-            let _ = pump.join();
-        }
-        Ok(())
+        net::accept_until_shutdown(&self.listener, &self.shared.shutdown, |client| {
+            let conn_id = self.shared.connections.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(&self.shared);
+            Some(std::thread::spawn(move || handle_conn(shared, client, conn_id)))
+        })
     }
 }
 
@@ -400,50 +374,6 @@ fn pump_bytes(mut from: TcpStream, mut to: TcpStream, shared: &ProxyShared) {
     let _ = to.shutdown(Shutdown::Both);
 }
 
-/// Read one raw length-prefixed frame (idle-aware). `Ok(None)` = clean
-/// EOF or shutdown; oversized prefixes are passed back to the caller as
-/// a frame with an empty body so the bytes still reach the server, which
-/// answers with its own typed `oversized` error.
-fn read_raw_frame(
-    stream: &mut TcpStream,
-    shared: &ProxyShared,
-) -> Result<Option<(u32, Vec<u8>)>, ()> {
-    let mut header = [0u8; 4];
-    let mut got = 0usize;
-    while got < header.len() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut header[got..]) {
-            Ok(0) => return if got == 0 { Ok(None) } else { Err(()) },
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return Err(()),
-        }
-    }
-    let len = u32::from_be_bytes(header);
-    if len as usize > MAX_FRAME_LEN {
-        // Forward the hostile prefix as-is; the server rejects it typed.
-        return Ok(Some((len, Vec::new())));
-    }
-    let mut body = vec![0u8; len as usize];
-    let mut got = 0usize;
-    while got < body.len() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match stream.read(&mut body[got..]) {
-            Ok(0) => return Err(()),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return Err(()),
-        }
-    }
-    Ok(Some((len, body)))
-}
-
 /// The fault-injecting client→server pump.
 fn inject_frames(
     shared: &ProxyShared,
@@ -460,16 +390,22 @@ fn inject_frames(
             let _ = c.shutdown(Shutdown::Both);
         }
     };
-    while let Ok(Some((len, mut body))) = read_raw_frame(&mut client, shared) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let mut body = match read_raw_frame(&mut client, &shared.shutdown) {
+            Ok(ReadOutcome::Frame(body)) => body,
+            Ok(ReadOutcome::Idle) => continue,
+            Err(ProtocolError::Oversized { len, .. }) => {
+                // Oversized prefix from a hostile client: forward verbatim
+                // and stop being frame-aware (the server closes after its
+                // typed error anyway).
+                shared.frames.fetch_add(1, Ordering::Relaxed);
+                let _ = server.write_all(&frame_header(len));
+                let _ = server.flush();
+                continue;
+            }
+            Ok(ReadOutcome::Eof) | Err(_) => break,
+        };
         shared.frames.fetch_add(1, Ordering::Relaxed);
-        if len as usize > MAX_FRAME_LEN {
-            // Oversized prefix from a hostile client: forward verbatim and
-            // stop being frame-aware (the server closes after its typed
-            // error anyway).
-            let _ = server.write_all(&len.to_be_bytes());
-            let _ = server.flush();
-            continue;
-        }
 
         // A frame arriving inside a partition window is swallowed whole —
         // no fault roll, no forwarding, connection intact.
@@ -496,7 +432,7 @@ fn inject_frames(
         if roll < edge {
             shared.torn.fetch_add(1, Ordering::Relaxed);
             let half = body.len() / 2;
-            let _ = server.write_all(&len.to_be_bytes());
+            let _ = server.write_all(&frame_header(body.len()));
             let _ = server.write_all(&body[..half]);
             let _ = server.flush();
             close_both(&server);
@@ -519,7 +455,7 @@ fn inject_frames(
                     // one byte per tick; nothing left for the fall-through
                     // write below.
                     shared.dribbled.fetch_add(1, Ordering::Relaxed);
-                    if dribble_frame(&mut server, len, &body).is_err() {
+                    if dribble_frame(&mut server, &body).is_err() {
                         break;
                     }
                     continue;
@@ -527,7 +463,7 @@ fn inject_frames(
                 edge += plan.dup_p;
                 if roll < edge {
                     shared.duplicated.fetch_add(1, Ordering::Relaxed);
-                    if write_frame_raw(&mut server, len, &body).is_err() {
+                    if write_raw_frame(&mut server, &body).is_err() {
                         break;
                     }
                 } else {
@@ -535,7 +471,7 @@ fn inject_frames(
                 }
             }
         }
-        if write_frame_raw(&mut server, len, &body).is_err() {
+        if write_raw_frame(&mut server, &body).is_err() {
             break;
         }
     }
@@ -543,18 +479,12 @@ fn inject_frames(
     let _ = client.shutdown(Shutdown::Both);
 }
 
-fn write_frame_raw(stream: &mut TcpStream, len: u32, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
 /// One byte per poll tick, header included — the slow-loris shape the
 /// `dribble` fault injects.
 const DRIBBLE_TICK: Duration = Duration::from_millis(1);
 
-fn dribble_frame(stream: &mut TcpStream, len: u32, body: &[u8]) -> std::io::Result<()> {
-    for byte in len.to_be_bytes().iter().chain(body.iter()) {
+fn dribble_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
+    for byte in frame_header(body.len()).iter().chain(body) {
         stream.write_all(std::slice::from_ref(byte))?;
         stream.flush()?;
         std::thread::sleep(DRIBBLE_TICK);

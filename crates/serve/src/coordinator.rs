@@ -34,18 +34,15 @@ use crate::lease::{
     replay_coordinator, CoordJournalEntry, CoordRecovery, CoordRequest, CoordResponse, CoordStats,
     LeaseTable,
 };
-use crate::protocol::{read_frame, write_frame, ProtocolError, ReadOutcome};
-use crate::server::{sig, ServeError};
+use crate::net::{self, FrameClient};
+use crate::protocol::{read_frame_until, write_frame, ReadOutcome};
+use crate::server::ServeError;
 use crate::ArbiterPolicy;
 use parking_lot::Mutex;
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-connection read timeout; bounds how long a connection takes to
 /// observe the shutdown flag.
@@ -187,18 +184,6 @@ impl CoordinatorHandle {
         self.shared.stats()
     }
 
-    /// The conservation gate: live commitments above the pool, W. Must be
-    /// exactly zero at every observable instant.
-    pub fn overshoot_w(&self) -> f64 {
-        self.shared.table.lock().overshoot_w()
-    }
-
-    /// Everything the fleet could be drawing per the lease table, W
-    /// (live commitments plus encumbered reserves); never above the cap.
-    pub fn fleet_committed_w(&self) -> f64 {
-        self.shared.table.lock().fleet_committed_w()
-    }
-
     /// What journal replay reconstructed at bind time, if a journal was
     /// configured.
     pub fn recovery(&self) -> Option<CoordRecovery> {
@@ -218,13 +203,7 @@ impl Coordinator {
     /// configured. Divergent journals are a typed bind error, never a
     /// guess at who holds which watts.
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
-        let requested = format!("{}:{}", config.host, config.port);
-        let listener = TcpListener::bind(&requested)
-            .map_err(|e| ServeError::Bind { addr: requested.clone(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: requested, detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
+        let (listener, addr) = net::bind(&format!("{}:{}", config.host, config.port))?;
 
         let (journal, recovery, table) = match &config.journal {
             Some(path) => {
@@ -277,31 +256,10 @@ impl Coordinator {
 
     /// Serve until SIGINT or a `Shutdown` request, then drain.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    conns.push(std::thread::spawn(move || run_conn(shared, stream)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for handle in conns {
-            let _ = handle.join();
-        }
-        Ok(())
+        net::accept_until_shutdown(&self.listener, &self.shared.shutdown, |stream| {
+            let shared = Arc::clone(&self.shared);
+            Some(std::thread::spawn(move || run_conn(shared, stream)))
+        })
     }
 }
 
@@ -313,7 +271,7 @@ fn run_conn(shared: Arc<CoordShared>, mut stream: TcpStream) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let request = match read_frame::<_, CoordRequest>(&mut stream) {
+        let request = match read_frame_until::<_, CoordRequest>(&mut stream, &shared.shutdown) {
             Ok(ReadOutcome::Frame(req)) => req,
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) => break,
@@ -447,49 +405,13 @@ fn handle_request(shared: &CoordShared, request: CoordRequest) -> (CoordResponse
 
 /// A blocking client for the coordinator protocol (the shard lease
 /// client, `acs coordinator --stats`, benches, tests).
-pub struct CoordClient {
-    stream: TcpStream,
-}
-
-impl CoordClient {
-    /// Connect to a coordinator.
-    pub fn connect(addr: &str) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream })
-    }
-
-    /// Connect with a timeout on both the connect and later calls — the
-    /// lease client uses this so a partitioned coordinator surfaces as a
-    /// miss within one renewal interval, not a hung thread.
-    pub fn connect_timeout(addr: &SocketAddr, timeout: Duration) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect_timeout(addr, timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(Self { stream })
-    }
-
-    /// Send one request and wait for its response.
-    pub fn call(&mut self, request: &CoordRequest) -> Result<CoordResponse, ProtocolError> {
-        write_frame(&mut self.stream, request)?;
-        match read_frame(&mut self.stream)? {
-            ReadOutcome::Frame(resp) => Ok(resp),
-            ReadOutcome::Eof => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "coordinator closed mid-call",
-            ))),
-            ReadOutcome::Idle => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::TimedOut,
-                "coordinator call timed out",
-            ))),
-        }
-    }
-}
+pub type CoordClient = FrameClient<CoordRequest, CoordResponse>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::read_frame_blocking;
+    use std::io::Write;
     use std::path::PathBuf;
 
     fn scratch(test: &str) -> PathBuf {
@@ -561,7 +483,37 @@ mod tests {
 
         handle.shutdown();
         join.join().unwrap();
-        assert_eq!(handle.fleet_committed_w(), 0.0);
+        let stats = handle.stats();
+        assert_eq!(stats.live_committed_w + stats.encumbered_w, 0.0);
+    }
+
+    #[test]
+    fn half_sent_frame_does_not_hold_up_shutdown() {
+        let coord = Coordinator::bind(config(None)).expect("bind succeeds");
+        let addr = coord.local_addr().to_string();
+        let handle = coord.handle();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let join = std::thread::spawn(move || done_tx.send(coord.run().is_ok()).unwrap());
+
+        // A live connection whose peer sends 2 of a frame header's 4 bytes
+        // and then goes silent without closing.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        write_frame(&mut stalled, &CoordRequest::Stats).unwrap();
+        let reply = read_frame_blocking(&mut stalled).unwrap();
+        assert!(matches!(reply, Some(CoordResponse::Stats(_))));
+        stalled.write_all(&[0, 0]).unwrap();
+        stalled.flush().unwrap();
+        // Let the connection take the two bytes so shutdown finds it
+        // mid-frame (if it has not, the test passes without exercising
+        // the stall).
+        std::thread::sleep(Duration::from_millis(50));
+
+        handle.shutdown();
+        let ran = done_rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("run returns within 2 s of shutdown despite the stalled frame");
+        assert!(ran, "coordinator runs");
+        join.join().unwrap();
     }
 
     #[test]
@@ -587,7 +539,7 @@ mod tests {
         let recovery = handle.recovery().expect("a journaled coordinator reports recovery");
         assert_eq!(recovery.replayed, 1);
         assert_eq!(recovery.live_leases, vec![lease_id]);
-        assert_eq!(handle.overshoot_w(), 0.0);
+        assert_eq!(handle.stats().overshoot_w, 0.0);
 
         // The shard's fence survived the restart: its next renewal just
         // works — no re-lease, no double grant.

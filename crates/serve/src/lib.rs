@@ -13,6 +13,9 @@
 //!
 //! Module map:
 //! - [`protocol`] — length-prefixed JSON frames, typed [`ProtocolError`]
+//! - `net` (crate-private) — the one TCP transport under the server, the
+//!   coordinator and the chaos proxy: bind, the accept loop with its
+//!   SIGINT and shutdown polling, and the blocking [`FrameClient`]
 //! - [`engine`] — memoized classify+predict, batch fan-out on rayon,
 //!   bounded LRU caches, idempotency memo
 //! - [`arbiter`] — global-cap partitioning policies (budgets always sum
@@ -45,6 +48,7 @@ pub mod engine;
 pub mod journal;
 pub mod lease;
 pub mod metrics;
+mod net;
 pub mod protocol;
 pub mod server;
 
@@ -58,6 +62,7 @@ pub use lease::{
     GrantOutcome, LeaseError, LeaseState, LeaseTable, ShardLease, ShardLeaseState,
 };
 pub use metrics::{Counter, Metrics, StatsSnapshot};
+pub use net::FrameClient;
 pub use protocol::{
     read_frame, read_frame_blocking, write_frame, ProtocolError, ReadOutcome, ReportFeedback,
     Request, Response, Selection, MAX_FRAME_LEN,

@@ -16,6 +16,7 @@ use crate::metrics::StatsSnapshot;
 use acs_sim::Configuration;
 use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Hard ceiling on a frame's payload length (1 MiB). A length prefix above
 /// this is rejected before any buffer is allocated, so a hostile client
@@ -309,17 +310,28 @@ pub enum ReadOutcome<T> {
     Idle,
 }
 
+/// The 4-byte big-endian length prefix of a `len`-byte payload. `len`
+/// fits in a `u32` at every caller: payloads are at most
+/// [`MAX_FRAME_LEN`], and an oversized prefix was read off the wire as one.
+pub(crate) fn frame_header(len: usize) -> [u8; 4] {
+    (len as u32).to_be_bytes()
+}
+
+/// Write `body` as one length-prefixed frame: header, body, flush.
+pub(crate) fn write_raw_frame<W: Write>(w: &mut W, body: &[u8]) -> Result<(), ProtocolError> {
+    if body.len() > MAX_FRAME_LEN {
+        return Err(ProtocolError::Oversized { len: body.len(), max: MAX_FRAME_LEN });
+    }
+    w.write_all(&frame_header(body.len()))?;
+    w.write_all(body)?;
+    w.flush()?;
+    Ok(())
+}
+
 /// Serialize `msg` and write it as one length-prefixed frame.
 pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), ProtocolError> {
     let body = serde_json::to_string(msg).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
-    let bytes = body.as_bytes();
-    if bytes.len() > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len: bytes.len(), max: MAX_FRAME_LEN });
-    }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()?;
-    Ok(())
+    write_raw_frame(w, body.as_bytes())
 }
 
 /// True for the error kinds a read timeout surfaces as.
@@ -327,30 +339,46 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
-/// Read exactly `buf.len()` bytes, treating timeouts as retryable only
-/// once at least one byte has arrived (a frame, once started, is always
-/// finished or declared truncated). Returns the byte count read when EOF
-/// arrives early, `buf.len()` on success.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8], mut got: usize) -> Result<usize, ProtocolError> {
+/// Finish reading a frame that has started: fill `buf` from `got`,
+/// retrying timeouts until `stop` is set (a slow writer is never
+/// desynced; a stalled one cannot hold up shutdown). Returns the byte
+/// count read when EOF or `stop` cuts the frame short, `buf.len()` on
+/// success.
+fn read_full<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    mut got: usize,
+    stop: &AtomicBool,
+) -> Result<usize, ProtocolError> {
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
             Ok(0) => return Ok(got),
             Ok(n) => got += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) && got > 0 => {}
+            Err(e) if is_timeout(&e) => {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(got);
+                }
+            }
             Err(e) => return Err(ProtocolError::Io(e)),
         }
     }
     Ok(got)
 }
 
-/// Read one frame, distinguishing clean EOF and idle timeouts from errors.
+/// Read one frame's raw payload, distinguishing clean EOF and idle
+/// timeouts from errors.
 ///
 /// On a stream with a read timeout, a timeout before the first byte of the
 /// length prefix returns [`ReadOutcome::Idle`]; once a frame has started,
-/// timeouts are retried until the frame completes or the stream ends
-/// (→ [`ProtocolError::Truncated`]).
-pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, ProtocolError> {
+/// timeouts are retried until the frame completes, the stream ends, or
+/// `stop` is set (the last two → [`ProtocolError::Truncated`]). A length
+/// prefix above [`MAX_FRAME_LEN`] is [`ProtocolError::Oversized`], before
+/// any allocation.
+pub(crate) fn read_raw_frame<R: Read>(
+    r: &mut R,
+    stop: &AtomicBool,
+) -> Result<ReadOutcome<Vec<u8>>, ProtocolError> {
     let mut header = [0u8; 4];
     let mut got = 0usize;
     // The first byte decides between Eof, Idle, and an in-flight frame.
@@ -363,7 +391,7 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, 
             Err(e) => return Err(ProtocolError::Io(e)),
         }
     }
-    let got = read_full(r, &mut header, got)?;
+    let got = read_full(r, &mut header, got, stop)?;
     if got < header.len() {
         return Err(ProtocolError::Truncated { expected: header.len(), got });
     }
@@ -372,21 +400,50 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, 
         return Err(ProtocolError::Oversized { len, max: MAX_FRAME_LEN });
     }
     let mut body = vec![0u8; len];
-    let got = read_full(r, &mut body, 0)?;
+    let got = read_full(r, &mut body, 0, stop)?;
     if got < len {
         return Err(ProtocolError::Truncated { expected: len, got });
     }
+    Ok(ReadOutcome::Frame(body))
+}
+
+/// [`read_frame`] that abandons a started frame once `stop` is set — what
+/// every server-side connection loop reads with, passing its shutdown flag.
+pub(crate) fn read_frame_until<R: Read, T: Deserialize>(
+    r: &mut R,
+    stop: &AtomicBool,
+) -> Result<ReadOutcome<T>, ProtocolError> {
+    let body = match read_raw_frame(r, stop)? {
+        ReadOutcome::Frame(body) => body,
+        ReadOutcome::Eof => return Ok(ReadOutcome::Eof),
+        ReadOutcome::Idle => return Ok(ReadOutcome::Idle),
+    };
     let text = std::str::from_utf8(&body).map_err(|_| ProtocolError::InvalidUtf8)?;
     let msg = serde_json::from_str(text).map_err(|e| ProtocolError::Malformed(e.to_string()))?;
     Ok(ReadOutcome::Frame(msg))
 }
 
+/// Read one frame, distinguishing clean EOF and idle timeouts from errors.
+///
+/// On a stream with a read timeout, a timeout before the first byte of the
+/// length prefix returns [`ReadOutcome::Idle`]; once a frame has started,
+/// timeouts are retried until the frame completes or the stream ends
+/// (→ [`ProtocolError::Truncated`]).
+pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<ReadOutcome<T>, ProtocolError> {
+    static NEVER: AtomicBool = AtomicBool::new(false);
+    read_frame_until(r, &NEVER)
+}
+
 /// Blocking convenience: read one frame, mapping EOF to `None`.
 ///
-/// Intended for streams *without* a read timeout (clients, tests); an idle
-/// timeout is reported as an I/O error rather than silently retried.
+/// Intended for streams *without* a read timeout (clients, tests). On a
+/// stream with one, the first timeout ends the read: before the frame
+/// starts it is an I/O error of kind [`ErrorKind::TimedOut`], after it
+/// [`ProtocolError::Truncated`], so no caller waits more than one read
+/// timeout for the next byte.
 pub fn read_frame_blocking<R: Read, T: Deserialize>(r: &mut R) -> Result<Option<T>, ProtocolError> {
-    match read_frame(r)? {
+    static GIVE_UP: AtomicBool = AtomicBool::new(true);
+    match read_frame_until(r, &GIVE_UP)? {
         ReadOutcome::Frame(t) => Ok(Some(t)),
         ReadOutcome::Eof => Ok(None),
         ReadOutcome::Idle => Err(ProtocolError::Io(std::io::Error::new(

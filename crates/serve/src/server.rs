@@ -3,7 +3,10 @@
 //! The accept loop is non-blocking and polls a shutdown flag, so SIGINT
 //! and the `Shutdown` poison request both drain the server the same way:
 //! stop accepting, let every session observe the flag at its next read
-//! timeout (≤ ~100 ms), join the session threads, leave the arbiter empty.
+//! timeout (≤ ~100 ms, a half-received frame included), join the session
+//! threads, leave the arbiter empty. The listener, accept loop and client
+//! are the crate's one transport (`net`), shared with the coordinator and
+//! the chaos proxy.
 //!
 //! Admission control is a hard bound, not a queue: when `max_sessions`
 //! sessions are live, a new connection is answered with one typed
@@ -16,8 +19,9 @@ use crate::engine::{Engine, EngineError};
 use crate::journal::{replay, Journal, JournalEntry, Recovery};
 use crate::lease::{CoordRequest, CoordResponse, ShardLease};
 use crate::metrics::{Counter, Metrics, StatsSnapshot};
+use crate::net::{self, FrameClient, ACCEPT_POLL};
 use crate::protocol::{
-    read_frame, write_frame, ProtocolError, ReadOutcome, ReportFeedback, Request, Response,
+    read_frame_until, write_frame, ProtocolError, ReadOutcome, ReportFeedback, Request, Response,
     Selection,
 };
 use acs_core::{AdaptivePredictor, CappedRuntime, DriftEvent, GuardPolicy, TrainedModel};
@@ -29,9 +33,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Per-session read timeout; bounds how long a session takes to observe
 /// the shutdown flag.
@@ -292,42 +293,6 @@ impl ServerHandle {
     }
 }
 
-/// SIGINT plumbing: the handler only sets a flag the accept loop polls.
-/// `pub(crate)` so the chaos proxy's accept loop shares the same flag.
-#[cfg(unix)]
-pub(crate) mod sig {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub static SIGINT: AtomicBool = AtomicBool::new(false);
-    const SIGINT_NO: i32 = 2;
-
-    extern "C" fn on_sigint(_: i32) {
-        SIGINT.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGINT_NO, on_sigint);
-        }
-    }
-
-    pub fn pending() -> bool {
-        SIGINT.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) mod sig {
-    pub fn install() {}
-    pub fn pending() -> bool {
-        false
-    }
-}
-
 /// A bound, not-yet-running selection server.
 pub struct Server {
     listener: TcpListener,
@@ -341,13 +306,7 @@ impl Server {
     /// (EADDRINUSE and friends) come back as [`ServeError::Bind`], never
     /// a panic.
     pub fn bind(config: ServeConfig, model: TrainedModel) -> Result<Self, ServeError> {
-        let requested = format!("{}:{}", config.host, config.port);
-        let listener = TcpListener::bind(&requested)
-            .map_err(|e| ServeError::Bind { addr: requested.clone(), detail: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: requested, detail: e.to_string() })?;
-        listener.set_nonblocking(true).map_err(|e| ServeError::Io(e.to_string()))?;
+        let (listener, addr) = net::bind(&format!("{}:{}", config.host, config.port))?;
         let model = Arc::new(model);
 
         // Crash recovery: open the journal, replay its valid prefix into a
@@ -437,7 +396,6 @@ impl Server {
     /// Serve until SIGINT or a `Shutdown` poison request, then drain and
     /// join every session.
     pub fn run(self) -> Result<(), ServeError> {
-        sig::install();
         let lease_thread = self.shared.config.coordinator.clone().map(|target| {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || run_lease_client(shared, target))
@@ -446,46 +404,25 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || run_brownout(shared))
         });
-        let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if sig::pending() {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
+        let shared = &self.shared;
+        net::accept_until_shutdown(&self.listener, &shared.shutdown, |mut stream| {
+            let active = shared.active.load(Ordering::SeqCst);
+            if active >= shared.config.max_sessions {
+                shared.metrics.add(Counter::Overloaded, 1);
+                let _ = write_frame(
+                    &mut stream,
+                    &Response::Overloaded {
+                        load: active as u64 + 1,
+                        limit: shared.config.max_sessions as u64,
+                    },
+                );
+                return None;
             }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let active = self.shared.active.load(Ordering::SeqCst);
-                    if active >= self.shared.config.max_sessions {
-                        self.shared.metrics.add(Counter::Overloaded, 1);
-                        let mut stream = stream;
-                        let _ = write_frame(
-                            &mut stream,
-                            &Response::Overloaded {
-                                load: active as u64 + 1,
-                                limit: self.shared.config.max_sessions as u64,
-                            },
-                        );
-                        continue;
-                    }
-                    self.shared.active.fetch_add(1, Ordering::SeqCst);
-                    let node_id = self.shared.next_node.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    sessions.push(std::thread::spawn(move || {
-                        run_session(shared, stream, node_id);
-                    }));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServeError::Io(e.to_string())),
-            }
-        }
-        for handle in sessions {
-            let _ = handle.join();
-        }
+            shared.active.fetch_add(1, Ordering::SeqCst);
+            let node_id = shared.next_node.fetch_add(1, Ordering::SeqCst);
+            let shared = Arc::clone(shared);
+            Some(std::thread::spawn(move || run_session(shared, stream, node_id)))
+        })?;
         if let Some(handle) = lease_thread {
             let _ = handle.join();
         }
@@ -754,7 +691,7 @@ fn run_session(shared: Arc<Shared>, mut stream: TcpStream, node_id: u64) {
             }
         }
 
-        let request = match read_frame::<_, Request>(&mut stream) {
+        let request = match read_frame_until::<_, Request>(&mut stream, &shared.shutdown) {
             Ok(ReadOutcome::Frame(req)) => req,
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) => break,
@@ -1097,32 +1034,4 @@ fn engine_error(e: EngineError) -> Response {
 
 /// A blocking client for the wire protocol (used by `acs loadgen`, the
 /// benches, and the tests).
-pub struct Client {
-    stream: TcpStream,
-}
-
-impl Client {
-    /// Connect to a server.
-    pub fn connect(addr: &str) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Self { stream })
-    }
-
-    /// Send one request and wait for its response.
-    pub fn call(&mut self, request: &Request) -> Result<Response, ProtocolError> {
-        write_frame(&mut self.stream, request)?;
-        match read_frame(&mut self.stream)? {
-            ReadOutcome::Frame(resp) => Ok(resp),
-            ReadOutcome::Eof | ReadOutcome::Idle => Err(ProtocolError::Io(std::io::Error::new(
-                ErrorKind::UnexpectedEof,
-                "server closed mid-call",
-            ))),
-        }
-    }
-
-    /// The raw stream (for tests that need to write hostile bytes).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
-}
+pub type Client = FrameClient<Request, Response>;

@@ -169,6 +169,35 @@ fn quiet_proxy_is_byte_transparent() {
 }
 
 #[test]
+fn oversized_prefix_is_forwarded_to_the_servers_typed_error() {
+    let (addr, handle, join) = spawn(ServeConfig::default());
+    let proxy = ChaosProxy::bind("127.0.0.1:0", &addr, ChaosPlan::quiet(1)).unwrap();
+    let proxy_addr = proxy.local_addr().to_string();
+    let proxy_handle = proxy.handle();
+    let proxy_join = std::thread::spawn(move || proxy.run().unwrap());
+
+    // The proxy cannot buffer a frame this long; it forwards the prefix
+    // as-is and the server rejects it with its own typed error.
+    let mut client = Client::connect(&proxy_addr).unwrap();
+    let stream = client.stream_mut();
+    stream.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    stream.flush().unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    match acs_serve::read_frame_blocking::<_, Response>(stream) {
+        Ok(Some(Response::Error { code, .. })) => assert_eq!(code, "oversized"),
+        other => panic!("expected typed oversized Error through the proxy, got {other:?}"),
+    }
+    assert_eq!(proxy_handle.stats().frames, 1);
+    assert_eq!(proxy_handle.stats().faults(), 0);
+    assert_alive(&proxy_addr);
+
+    proxy_handle.shutdown();
+    proxy_join.join().unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
 fn seeded_chaos_never_panics_and_never_poisons_the_arbiter() {
     let (addr, handle, join) = spawn(ServeConfig { max_sessions: 64, ..ServeConfig::default() });
     let kernel_ids: Vec<String> =
@@ -277,6 +306,13 @@ fn dribbled_frames_arrive_intact_at_every_length() {
         let mut c = Client::connect(&proxy_addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()
     };
+    // The proxied session leaves asynchronously. Until it has, a direct
+    // session joins a two-way budget split and may answer its first
+    // Select under it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while handle.stats().active_sessions > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let direct: Vec<String> = {
         let mut c = Client::connect(&addr).unwrap();
         requests.iter().map(|r| serde_json::to_string(&c.call(r).unwrap()).unwrap()).collect()

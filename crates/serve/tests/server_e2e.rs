@@ -443,6 +443,34 @@ fn brownout_level_flows_into_stats_and_strips_the_detail_maps() {
 }
 
 #[test]
+fn half_sent_frame_does_not_hold_up_shutdown() {
+    let server = Server::bind(ServeConfig::default(), model()).expect("bind succeeds");
+    let addr = server.local_addr().to_string();
+    let handle = server.handle();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let join = std::thread::spawn(move || done_tx.send(server.run().is_ok()).unwrap());
+
+    // A live session whose peer sends 2 of a frame header's 4 bytes and
+    // then goes silent without closing.
+    let mut stalled = Client::connect(&addr).unwrap();
+    assert!(matches!(stalled.call(&Request::Hello).unwrap(), Response::Welcome { .. }));
+    stalled.stream_mut().write_all(&[0, 0]).unwrap();
+    stalled.stream_mut().flush().unwrap();
+    // Let the session take the two bytes so shutdown finds it mid-frame
+    // (if it has not, the test passes without exercising the stall).
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(handle.stats().active_sessions, 1);
+
+    handle.shutdown();
+    let ran = done_rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run returns within 2 s of shutdown despite the stalled frame");
+    assert!(ran, "server runs");
+    join.join().unwrap();
+    assert_eq!(handle.stats().active_sessions, 0, "the stalled session was released");
+}
+
+#[test]
 fn shutdown_poison_drains_the_server() {
     let (addr, handle, join) = spawn(ServeConfig::default());
     let mut bystander = Client::connect(&addr).unwrap();
