@@ -24,30 +24,9 @@
 
 use std::collections::BTreeMap;
 
-/// Minimum budget change, W, that counts as a reshuffle.
-const RESHUFFLE_EPS_W: f64 = 1e-9;
-
-/// Fold the floating-point remainder of a split onto the first share so
-/// the shares sum back to `target` *exactly*. f64 splits do not sum back
-/// to the target in general (`cap/n * n ≠ cap`), and the drift compounds
-/// across rebalances into a violated conservation invariant. Each fold
-/// re-rounds, so iterate until the re-summed total lands exactly on the
-/// target (one or two passes in practice; the bound guards the
-/// pathological case where the remainder is below one ulp of the first
-/// share and the fold cannot make progress). Shared by the per-process
-/// arbiter and the fleet lease table — both conservation gates ride on it.
-pub(crate) fn fold_exact_sum(target: f64, shares: &mut [f64]) {
-    if shares.is_empty() {
-        return;
-    }
-    for _ in 0..4 {
-        let residual = target - shares.iter().sum::<f64>();
-        if residual == 0.0 {
-            break;
-        }
-        shares[0] += residual;
-    }
-}
+/// Watt-scale tolerance shared by the budget split (demands summing below
+/// it count as indistinguishable), reshuffle detection and lease admission.
+pub(crate) const EPS_W: f64 = 1e-9;
 
 /// How the global cap is split across nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +38,41 @@ pub enum ArbiterPolicy {
 }
 
 impl ArbiterPolicy {
+    /// Split `pool_w` into one share per demand, in order. Equal share
+    /// gives every demand `pool / n`; demand proportional gives each an
+    /// equal floor from half the pool and the other half in proportion to
+    /// its demand (equally when the demands sum to zero). Both the
+    /// per-process arbiter and the fleet lease table split through here,
+    /// so both conservation gates ride on the exact-sum fold at the end.
+    pub fn split(self, pool_w: f64, demands: impl IntoIterator<Item = f64>) -> Vec<f64> {
+        let mut shares: Vec<f64> = demands.into_iter().collect();
+        let n = shares.len() as f64;
+        let total: f64 = shares.iter().sum();
+        let floor = 0.5 * pool_w / n;
+        for share in &mut shares {
+            *share = match self {
+                ArbiterPolicy::EqualShare => pool_w / n,
+                ArbiterPolicy::DemandProportional if total <= EPS_W => floor + 0.5 * pool_w / n,
+                ArbiterPolicy::DemandProportional => floor + 0.5 * pool_w * *share / total,
+            };
+        }
+        // Fold the floating-point remainder onto the first share so the
+        // shares sum back to the pool *exactly*: f64 splits do not in
+        // general (`pool/n * n != pool`), and the drift would compound
+        // across rebalances into a violated conservation invariant. Each
+        // fold re-rounds, so iterate until the re-summed total lands on
+        // the pool (one or two passes in practice; the bound guards a
+        // remainder below one ulp of the first share).
+        for _ in 0..4 {
+            let residual = pool_w - shares.iter().sum::<f64>();
+            match shares.first_mut() {
+                Some(first) if residual != 0.0 => *first += residual,
+                _ => break,
+            }
+        }
+        shares
+    }
+
     /// Stable name (the CLI `--policy` value).
     pub fn name(&self) -> &'static str {
         match self {
@@ -200,52 +214,25 @@ impl Arbiter {
     }
 
     /// Re-partition the cap per the policy; bump counters when any budget
-    /// moved by more than [`RESHUFFLE_EPS_W`].
+    /// moved by more than [`EPS_W`].
     fn rebalance(&mut self) {
-        let n = self.nodes.len();
-        if n == 0 {
-            return;
-        }
-        let mut shares: Vec<f64> = match self.policy {
-            ArbiterPolicy::EqualShare => vec![self.global_cap_w / n as f64; n],
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * self.global_cap_w / n as f64;
-                let pool = 0.5 * self.global_cap_w;
-                // Demand: a node with no headroom left wants watts; a node
-                // with lots of residual donates. Shift so the hungriest
-                // node defines zero demand offset and everything stays
-                // non-negative.
-                let max_residual = self
-                    .nodes
-                    .values()
-                    .map(|s| s.residual_w.max(0.0))
-                    .fold(f64::NEG_INFINITY, f64::max);
-                let demands: Vec<f64> = self
-                    .nodes
-                    .values()
-                    .map(|s| (max_residual - s.residual_w.max(0.0)).max(0.0))
-                    .collect();
-                let total: f64 = demands.iter().sum();
-                if total <= RESHUFFLE_EPS_W {
-                    // Indistinguishable demands: split the pool equally.
-                    vec![floor + pool / n as f64; n]
-                } else {
-                    demands.iter().map(|d| floor + pool * d / total).collect()
-                }
-            }
-        };
-        // Fold the rounding remainder onto the lowest node id —
-        // deterministic, and at most a few ulp.
-        fold_exact_sum(self.global_cap_w, &mut shares);
+        // Demand: a node with no headroom left wants watts; a node with
+        // lots of residual donates. Shift so the hungriest node defines
+        // zero demand offset and everything stays non-negative.
+        let max_residual =
+            self.nodes.values().map(|s| s.residual_w.max(0.0)).fold(f64::NEG_INFINITY, f64::max);
+        let demands = self.nodes.values().map(|s| (max_residual - s.residual_w.max(0.0)).max(0.0));
+        // The rounding remainder lands on the lowest node id.
+        let shares = self.policy.split(self.global_cap_w, demands);
         let mut changed = false;
         for (state, share) in self.nodes.values_mut().zip(shares) {
-            if (state.budget_w - share).abs() > RESHUFFLE_EPS_W {
+            if (state.budget_w - share).abs() > EPS_W {
                 changed = true;
             }
             state.budget_w = share;
         }
         debug_assert!(
-            self.conservation_error_w() <= RESHUFFLE_EPS_W,
+            self.conservation_error_w() <= EPS_W,
             "budgets sum to {} under a {} W cap",
             self.budget_sum_w(),
             self.global_cap_w

@@ -205,32 +205,25 @@ impl Coordinator {
     pub fn bind(config: CoordinatorConfig) -> Result<Self, ServeError> {
         let (listener, addr) = net::bind(&format!("{}:{}", config.host, config.port))?;
 
-        let (journal, recovery, table) = match &config.journal {
+        // Without a journal the table is the replay of an empty one.
+        let (journal, entries) = match &config.journal {
             Some(path) => {
                 let (journal, entries) = Journal::open_with_sync(path, config.journal_sync)
                     .map_err(|e| ServeError::Journal(e.to_string()))?;
-                let (table, recovery) = replay_coordinator(
-                    &entries,
-                    config.global_cap_w,
-                    config.policy,
-                    config.ttl_ticks,
-                    config.floor_w,
-                    config.evict_after_ticks,
-                )
-                .map_err(|e| ServeError::Journal(e.to_string()))?;
-                (Some(Arc::new(journal)), Some(recovery), table)
+                (Some(Arc::new(journal)), entries)
             }
-            None => {
-                let mut table = LeaseTable::new(
-                    config.global_cap_w,
-                    config.policy,
-                    config.ttl_ticks,
-                    config.floor_w,
-                );
-                table.set_evict_after_ticks(config.evict_after_ticks);
-                (None, None, table)
-            }
+            None => (None, Vec::new()),
         };
+        let (table, recovery) = replay_coordinator(
+            &entries,
+            config.global_cap_w,
+            config.policy,
+            config.ttl_ticks,
+            config.floor_w,
+            config.evict_after_ticks,
+        )
+        .map_err(|e| ServeError::Journal(e.to_string()))?;
+        let recovery = journal.is_some().then_some(recovery);
         let base_tick = table.tick();
         let shared = Arc::new(CoordShared {
             config,
@@ -293,112 +286,27 @@ fn run_conn(shared: Arc<CoordShared>, mut stream: TcpStream) {
     }
 }
 
-/// Serve one request. Every mutation advances the logical clock, applies
-/// the operation, and journals it — all under the table lock, so the
-/// recorded tick and epoch are exactly the ones the operation produced.
+/// Serve one request. Every lease operation advances the logical clock,
+/// applies the operation, and journals it — all under the table lock, so
+/// the recorded tick and epoch are exactly the ones the operation produced.
 fn handle_request(shared: &CoordShared, request: CoordRequest) -> (CoordResponse, bool) {
     match request {
-        CoordRequest::Lease { shard_id, demand_w } => {
-            // Sanitize before journaling: the entry must hold the value
-            // grant() actually used (and NaN does not survive JSON).
-            let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.grant(shard_id, demand_w) {
-                Ok(o) => {
-                    shared.journal_append(&CoordJournalEntry::Grant {
-                        lease_id: o.lease_id,
-                        shard_id: o.shard_id,
-                        demand_w,
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                    (
-                        CoordResponse::Granted {
-                            lease_id: o.lease_id,
-                            shard_id: o.shard_id,
-                            epoch: o.epoch,
-                            budget_w: o.budget_w,
-                            expires_tick: o.expires_tick,
-                            ttl_ms: shared.config.ttl_ms(),
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Renew { lease_id, epoch, demand_w } => {
-            let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.renew(lease_id, epoch, demand_w) {
-                Ok(o) => {
-                    shared.journal_append(&CoordJournalEntry::Renew {
-                        lease_id,
-                        demand_w,
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                    (
-                        CoordResponse::Renewed {
-                            lease_id,
-                            epoch: o.epoch,
-                            budget_w: o.budget_w,
-                            expires_tick: o.expires_tick,
-                        },
-                        false,
-                    )
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Release { lease_id } => {
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.release(lease_id) {
-                Ok(()) => {
-                    shared.journal_append(&CoordJournalEntry::Release {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                    (CoordResponse::Released, false)
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
-        CoordRequest::Revoke { lease_id } => {
-            let mut table = shared.table.lock();
-            table.advance_to(shared.now_tick());
-            match table.revoke(lease_id) {
-                Ok(()) => {
-                    shared.journal_append(&CoordJournalEntry::Revoke {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                    (CoordResponse::Revoked, false)
-                }
-                Err(e) => (
-                    CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
-                    false,
-                ),
-            }
-        }
         CoordRequest::Stats => (CoordResponse::Stats(shared.stats()), false),
         CoordRequest::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             (CoordResponse::ShuttingDown, true)
+        }
+        op => {
+            let mut table = shared.table.lock();
+            table.advance_to(shared.now_tick());
+            let reply = match table.apply(&op, shared.config.ttl_ms()) {
+                Ok((reply, entry)) => {
+                    shared.journal_append(&entry);
+                    reply
+                }
+                Err(e) => CoordResponse::Rejected { code: e.code().into(), detail: e.to_string() },
+            };
+            (reply, false)
         }
     }
 }

@@ -20,7 +20,7 @@
 //!    toward its target at its next renewal, taking at most the watts
 //!    other shards have already renewed down from. The sum of committed
 //!    budgets therefore never exceeds the pool, and converges to it
-//!    exactly (largest-remainder fold, [`fold_exact_sum`]) once every
+//!    exactly (the exact-sum fold in [`ArbiterPolicy::split`]) once every
 //!    live shard has renewed after a membership change.
 //! 2. **Encumbrance at the floor.** A lease that misses its renewals
 //!    expires, but its watts are not fully reclaimed: `min(floor,
@@ -45,19 +45,16 @@
 //! Time is **logical ticks** (the coordinator maps them to wall-clock
 //! milliseconds via its `tick_ms`). Expirations are *recomputed* during
 //! replay, never journaled: [`replay_coordinator`] advances the rebuilt
-//! table to each entry's recorded tick before applying it, so the exact
-//! interleaving of expiries and operations is reproduced, then verifies
-//! the recorded post-op epoch ([`JournalError::LeaseDivergence`] when
-//! history cannot be trusted).
+//! table to each entry's recorded tick before re-applying it through the
+//! same [`LeaseTable::apply`] the coordinator serves with, so the exact
+//! interleaving of expiries and operations is reproduced, then checks the
+//! entry it yields against the recorded one
+//! ([`JournalError::LeaseDivergence`] when history cannot be trusted).
 
-use crate::arbiter::{fold_exact_sum, ArbiterPolicy};
+use crate::arbiter::{ArbiterPolicy, EPS_W};
 use crate::journal::JournalError;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-
-/// Watt-scale epsilon for admission checks (same scale as the arbiter's
-/// reshuffle epsilon).
-pub const LEASE_EPS_W: f64 = 1e-9;
 
 /// One lease's coordinator-side state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,8 +146,8 @@ impl std::fmt::Display for LeaseError {
 impl std::error::Error for LeaseError {}
 
 /// What a successful grant or renewal tells the shard.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrantOutcome {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GrantOutcome {
     /// The lease id (stable across re-adoptions of the same shard).
     pub lease_id: u64,
     /// The shard id (assigned on first grant when the shard has none).
@@ -165,7 +162,8 @@ pub struct GrantOutcome {
 
 /// The coordinator's lease table. Pure state machine — no I/O, no clock —
 /// so the conservation proptests can drive it through arbitrary
-/// interleavings.
+/// interleavings. It changes only through [`Self::advance_to`] and
+/// [`Self::apply`].
 #[derive(Debug)]
 pub struct LeaseTable {
     global_cap_w: f64,
@@ -176,6 +174,9 @@ pub struct LeaseTable {
     tick: u64,
     epoch: u64,
     next_lease: u64,
+    /// One past the highest shard id ever granted: the lowest id an
+    /// unnamed shard may take.
+    next_shard: u64,
     leases: BTreeMap<u64, LeaseState>,
     grants: u64,
     renews: u64,
@@ -186,8 +187,20 @@ pub struct LeaseTable {
 
 impl LeaseTable {
     /// A table over a positive cap with `floor_w < global_cap_w` and a
-    /// TTL of at least one tick.
-    pub fn new(global_cap_w: f64, policy: ArbiterPolicy, ttl_ticks: u64, floor_w: f64) -> Self {
+    /// TTL of at least one tick. `evict_after_ticks > 0` enables
+    /// health-checked eviction: an expired (encumbered) lease whose shard
+    /// stays silent that many ticks past its expiry is removed entirely,
+    /// returning its reserve to the pool — the operator's `Revoke`
+    /// automated. `0` keeps the floor-parked-forever semantics. Eviction
+    /// is a pure function of the logical clock, so replay reproduces it
+    /// with no journal entry as long as the horizon matches.
+    pub fn new(
+        global_cap_w: f64,
+        policy: ArbiterPolicy,
+        ttl_ticks: u64,
+        floor_w: f64,
+        evict_after_ticks: u64,
+    ) -> Self {
         assert!(global_cap_w > 0.0, "global cap must be positive");
         assert!(ttl_ticks >= 1, "a lease must live at least one tick");
         assert!(
@@ -199,10 +212,11 @@ impl LeaseTable {
             policy,
             ttl_ticks,
             floor_w,
-            evict_after_ticks: 0,
+            evict_after_ticks,
             tick: 0,
             epoch: 0,
             next_lease: 1,
+            next_shard: 1,
             leases: BTreeMap::new(),
             grants: 0,
             renews: 0,
@@ -210,23 +224,6 @@ impl LeaseTable {
             revocations: 0,
             evictions: 0,
         }
-    }
-
-    /// Enable health-checked eviction: an expired (encumbered) lease whose
-    /// shard stays silent for `ticks` more logical ticks past its expiry
-    /// is removed entirely, returning its reserve to the pool — the
-    /// operator's [`Self::revoke`] automated. `0` (the default) disables
-    /// eviction and keeps the floor-parked-forever semantics. Eviction is
-    /// a pure function of the logical clock, so replay reproduces it with
-    /// no journal entry — as long as the horizon matches
-    /// ([`replay_coordinator`] takes it as a parameter).
-    pub fn set_evict_after_ticks(&mut self, ticks: u64) {
-        self.evict_after_ticks = ticks;
-    }
-
-    /// The eviction horizon in ticks (0 = eviction disabled).
-    pub fn evict_after_ticks(&self) -> u64 {
-        self.evict_after_ticks
     }
 
     /// Lifetime health-check evictions.
@@ -384,34 +381,6 @@ impl LeaseTable {
         expired
     }
 
-    /// Target shares for the current live set: the pool split by the
-    /// policy (equal, or half floor + demand-proportional), folded so the
-    /// targets sum to the pool exactly. Aligned with [`Self::live_ids`].
-    fn targets(&self, live_ids: &[u64]) -> Vec<f64> {
-        let n = live_ids.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let pool = self.pool_w();
-        let mut targets = match self.policy {
-            ArbiterPolicy::EqualShare => vec![pool / n as f64; n],
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * pool / n as f64;
-                let extra = 0.5 * pool;
-                let demands: Vec<f64> =
-                    live_ids.iter().map(|id| self.leases[id].demand_w).collect();
-                let total: f64 = demands.iter().sum();
-                if total <= LEASE_EPS_W {
-                    vec![floor + extra / n as f64; n]
-                } else {
-                    demands.iter().map(|d| floor + extra * d / total).collect()
-                }
-            }
-        };
-        fold_exact_sum(pool, &mut targets);
-        targets
-    }
-
     /// Commit-on-contact: move `lease_id` toward its target, taking at
     /// most the watts currently free (pool minus live commitments), then
     /// clamp any floating-point overshoot back onto this lease so the
@@ -421,8 +390,9 @@ impl LeaseTable {
         let Some(pos) = live_ids.iter().position(|&id| id == lease_id) else {
             return;
         };
-        let target = self.targets(&live_ids)[pos];
         let pool = self.pool_w();
+        let target =
+            self.policy.split(pool, live_ids.iter().map(|id| self.leases[id].demand_w))[pos];
         let free = (pool - self.live_committed_w()).max(0.0);
         let lease = self.leases.get_mut(&lease_id).expect("live lease");
         lease.committed_w = target.min(lease.committed_w + free);
@@ -442,6 +412,72 @@ impl LeaseTable {
         );
     }
 
+    /// Apply one lease operation — `Lease`, `Renew`, `Release` or
+    /// `Revoke` — at the current tick. The coordinator serves requests
+    /// through it and [`replay_coordinator`] re-applies journaled entries
+    /// through it. Demands are clamped to finite, non-negative watts first,
+    /// so the entry records the value the table used (and NaN never meets
+    /// JSON). Returns the wire reply (`ttl_ms` goes into `Granted`) and the
+    /// journal entry; a rejected operation mutates nothing, so it leaves no
+    /// trace.
+    ///
+    /// # Panics
+    ///
+    /// On `Stats` and `Shutdown`, which are not lease operations.
+    pub fn apply(
+        &mut self,
+        request: &CoordRequest,
+        ttl_ms: u64,
+    ) -> Result<(CoordResponse, CoordJournalEntry), LeaseError> {
+        let tick = self.tick;
+        let clamp = |w: f64| if w.is_finite() { w.max(0.0) } else { 0.0 };
+        Ok(match *request {
+            CoordRequest::Lease { shard_id, demand_w } => {
+                let demand_w = clamp(demand_w);
+                let GrantOutcome { lease_id, shard_id, epoch, budget_w, expires_tick } =
+                    self.grant(shard_id, demand_w)?;
+                (
+                    CoordResponse::Granted {
+                        lease_id,
+                        shard_id,
+                        epoch,
+                        budget_w,
+                        expires_tick,
+                        ttl_ms,
+                    },
+                    CoordJournalEntry::Grant { lease_id, shard_id, demand_w, tick, epoch },
+                )
+            }
+            CoordRequest::Renew { lease_id, epoch, demand_w } => {
+                let demand_w = clamp(demand_w);
+                let GrantOutcome { epoch, budget_w, expires_tick, .. } =
+                    self.renew(lease_id, epoch, demand_w)?;
+                (
+                    CoordResponse::Renewed { lease_id, epoch, budget_w, expires_tick },
+                    CoordJournalEntry::Renew { lease_id, demand_w, tick, epoch },
+                )
+            }
+            CoordRequest::Release { lease_id } => {
+                self.remove(lease_id)?;
+                (
+                    CoordResponse::Released,
+                    CoordJournalEntry::Release { lease_id, tick, epoch: self.epoch },
+                )
+            }
+            CoordRequest::Revoke { lease_id } => {
+                self.remove(lease_id)?;
+                self.revocations += 1;
+                (
+                    CoordResponse::Revoked,
+                    CoordJournalEntry::Revoke { lease_id, tick, epoch: self.epoch },
+                )
+            }
+            CoordRequest::Stats | CoordRequest::Shutdown => {
+                panic!("{request:?} is not a lease operation")
+            }
+        })
+    }
+
     /// Grant a lease. A known `shard_id` with an existing lease (live or
     /// encumbered) is **re-adopted** — same lease id, commitment resumed
     /// from where it stood, fresh fence and TTL — never double-granted.
@@ -452,157 +488,99 @@ impl LeaseTable {
     /// the steady-state target cannot reach the floor, the grant is
     /// denied without mutating the table (denials are not journaled, so
     /// they must leave no trace).
-    pub fn grant(
-        &mut self,
-        shard_id: Option<u64>,
-        demand_w: f64,
-    ) -> Result<GrantOutcome, LeaseError> {
-        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-        if let Some(sid) = shard_id {
-            let existing = self.leases.iter().find(|(_, l)| l.shard_id == sid).map(|(id, _)| *id);
-            if let Some(id) = existing {
-                self.epoch += 1;
-                self.grants += 1;
-                let expires = self.tick + self.ttl_ticks;
-                let (epoch, tick) = (self.epoch, expires);
-                {
-                    let lease = self.leases.get_mut(&id).expect("found above");
-                    lease.live = true;
-                    lease.demand_w = demand_w;
-                    lease.expires_tick = tick;
-                    lease.fence = epoch;
-                    lease.expired_tick = 0;
+    fn grant(&mut self, shard_id: Option<u64>, demand_w: f64) -> Result<GrantOutcome, LeaseError> {
+        let existing = shard_id
+            .and_then(|sid| self.leases.iter().find(|(_, l)| l.shard_id == sid).map(|(id, _)| *id));
+        let id = match existing {
+            Some(id) => id,
+            None => {
+                // The newcomer's share is the last of the split, so the
+                // exact-sum fold (onto the first share) moves it only
+                // when it is the sole live lease.
+                let live_demands = self.leases.values().filter(|l| l.live).map(|l| l.demand_w);
+                let shares = self.policy.split(self.pool_w(), live_demands.chain([demand_w]));
+                let target = *shares.last().expect("the newcomer has a share");
+                if target + EPS_W < self.floor_w {
+                    return Err(LeaseError::Denied {
+                        needed_w: self.floor_w,
+                        available_w: target.max(0.0),
+                    });
                 }
-                self.settle(id);
-                let lease = &self.leases[&id];
-                return Ok(GrantOutcome {
-                    lease_id: id,
+                let id = self.next_lease;
+                self.next_lease += 1;
+                // An unnamed shard takes its lease id, raised past every
+                // shard id granted so far, so it never aliases another
+                // shard's lease (a deterministic rule: replay stays pure).
+                let sid = shard_id.unwrap_or(id.max(self.next_shard));
+                self.next_shard = self.next_shard.max(sid.saturating_add(1));
+                let lease = LeaseState {
                     shard_id: sid,
-                    epoch,
-                    budget_w: lease.committed_w,
-                    expires_tick: tick,
-                });
-            }
-        }
-        // Fresh grant: admission-check before mutating anything.
-        let live_ids = self.live_ids();
-        let n_new = live_ids.len() + 1;
-        let pool = self.pool_w();
-        let target_new = match self.policy {
-            ArbiterPolicy::EqualShare => pool / n_new as f64,
-            ArbiterPolicy::DemandProportional => {
-                let floor = 0.5 * pool / n_new as f64;
-                let extra = 0.5 * pool;
-                let total: f64 =
-                    live_ids.iter().map(|id| self.leases[id].demand_w).sum::<f64>() + demand_w;
-                if total <= LEASE_EPS_W {
-                    floor + extra / n_new as f64
-                } else {
-                    floor + extra * demand_w / total
-                }
+                    committed_w: 0.0,
+                    demand_w,
+                    expires_tick: 0,
+                    fence: 0,
+                    live: true,
+                    expired_tick: 0,
+                };
+                self.leases.insert(id, lease);
+                id
             }
         };
-        if target_new + LEASE_EPS_W < self.floor_w {
-            return Err(LeaseError::Denied {
-                needed_w: self.floor_w,
-                available_w: target_new.max(0.0),
-            });
-        }
         self.epoch += 1;
         self.grants += 1;
-        let id = self.next_lease;
-        self.next_lease += 1;
-        let sid = shard_id.unwrap_or(id);
-        let expires = self.tick + self.ttl_ticks;
-        self.leases.insert(
-            id,
-            LeaseState {
-                shard_id: sid,
-                committed_w: 0.0,
-                demand_w,
-                expires_tick: expires,
-                fence: self.epoch,
-                live: true,
-                expired_tick: 0,
-            },
-        );
+        let lease = self.leases.get_mut(&id).expect("granted above");
+        lease.live = true;
+        lease.demand_w = demand_w;
+        lease.expires_tick = self.tick + self.ttl_ticks;
+        lease.fence = self.epoch;
+        lease.expired_tick = 0;
         self.settle(id);
-        let lease = &self.leases[&id];
-        Ok(GrantOutcome {
-            lease_id: id,
-            shard_id: sid,
-            epoch: self.epoch,
-            budget_w: lease.committed_w,
-            expires_tick: expires,
-        })
+        Ok(self.outcome(id))
     }
 
     /// Renew a live lease. The presented epoch must clear the lease's
     /// fence; an expired lease rejects with [`LeaseError::Expired`] so
     /// the shard re-leases (re-adopts) instead.
-    pub fn renew(
+    fn renew(
         &mut self,
         lease_id: u64,
         epoch: u64,
         demand_w: f64,
     ) -> Result<GrantOutcome, LeaseError> {
-        let lease = self.leases.get(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
+        let lease = self.leases.get_mut(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
         if !lease.live {
             return Err(LeaseError::Expired { lease_id });
         }
         if epoch < lease.fence {
             return Err(LeaseError::Fenced { lease_id, fence: lease.fence, presented: epoch });
         }
-        Ok(self.renew_unchecked(lease_id, demand_w).expect("lease checked live above"))
-    }
-
-    /// Apply an accepted renewal. Shared by [`Self::renew`] (after
-    /// fencing) and [`replay_coordinator`] (which replays only renewals
-    /// that were accepted live, so fencing must not re-run).
-    fn renew_unchecked(&mut self, lease_id: u64, demand_w: f64) -> Option<GrantOutcome> {
-        let demand_w = if demand_w.is_finite() { demand_w.max(0.0) } else { 0.0 };
-        if !self.leases.get(&lease_id)?.live {
-            return None;
-        }
+        lease.demand_w = demand_w;
+        lease.expires_tick = self.tick + self.ttl_ticks;
         self.epoch += 1;
         self.renews += 1;
-        let expires = self.tick + self.ttl_ticks;
-        {
-            let lease = self.leases.get_mut(&lease_id).expect("checked above");
-            lease.demand_w = demand_w;
-            lease.expires_tick = expires;
-        }
         self.settle(lease_id);
+        Ok(self.outcome(lease_id))
+    }
+
+    /// What a grant or renewal of `lease_id` tells the shard.
+    fn outcome(&self, lease_id: u64) -> GrantOutcome {
         let lease = &self.leases[&lease_id];
-        Some(GrantOutcome {
+        GrantOutcome {
             lease_id,
             shard_id: lease.shard_id,
             epoch: self.epoch,
             budget_w: lease.committed_w,
-            expires_tick: expires,
-        })
+            expires_tick: lease.expires_tick,
+        }
     }
 
-    /// A shard's clean departure: the lease (and any encumbrance) is
-    /// removed entirely; its watts return to the pool for the next
-    /// renewal round.
-    pub fn release(&mut self, lease_id: u64) -> Result<(), LeaseError> {
-        if self.leases.remove(&lease_id).is_none() {
-            return Err(LeaseError::UnknownLease { lease_id });
-        }
+    /// Remove a lease entirely — a shard's clean `Release`, or an
+    /// operator's `Revoke` of a shard known to be dead. Its watts, and any
+    /// encumbered reserve expiry alone keeps holding, return to the pool
+    /// for the next renewal round.
+    fn remove(&mut self, lease_id: u64) -> Result<(), LeaseError> {
+        self.leases.remove(&lease_id).ok_or(LeaseError::UnknownLease { lease_id })?;
         self.epoch += 1;
-        Ok(())
-    }
-
-    /// Operator-forced removal of a lease known to be dead (e.g. the
-    /// shard's host is confirmed down) — frees the encumbered reserve
-    /// that expiry alone keeps holding.
-    pub fn revoke(&mut self, lease_id: u64) -> Result<(), LeaseError> {
-        if self.leases.remove(&lease_id).is_none() {
-            return Err(LeaseError::UnknownLease { lease_id });
-        }
-        self.epoch += 1;
-        self.revocations += 1;
         Ok(())
     }
 }
@@ -643,20 +621,6 @@ pub enum CoordRequest {
     Stats,
     /// Shut the coordinator down.
     Shutdown,
-}
-
-impl CoordRequest {
-    /// Short label for metrics bucketing.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CoordRequest::Lease { .. } => "lease",
-            CoordRequest::Renew { .. } => "renew",
-            CoordRequest::Release { .. } => "release",
-            CoordRequest::Revoke { .. } => "revoke",
-            CoordRequest::Stats => "stats",
-            CoordRequest::Shutdown => "shutdown",
-        }
-    }
 }
 
 /// Coordinator metrics snapshot (`CoordRequest::Stats` reply).
@@ -807,6 +771,34 @@ pub enum CoordJournalEntry {
     },
 }
 
+impl CoordJournalEntry {
+    /// The entry's `(lease_id, tick, epoch)`.
+    fn stamp(&self) -> (u64, u64, u64) {
+        match *self {
+            CoordJournalEntry::Grant { lease_id, tick, epoch, .. }
+            | CoordJournalEntry::Renew { lease_id, tick, epoch, .. }
+            | CoordJournalEntry::Release { lease_id, tick, epoch }
+            | CoordJournalEntry::Revoke { lease_id, tick, epoch } => (lease_id, tick, epoch),
+        }
+    }
+
+    /// The request that applied this entry, as replay re-applies it: a
+    /// grant names its recorded shard, and a renewal presents its recorded
+    /// post-op epoch, which always clears the lease's fence.
+    fn request(&self) -> CoordRequest {
+        match *self {
+            CoordJournalEntry::Grant { shard_id, demand_w, .. } => {
+                CoordRequest::Lease { shard_id: Some(shard_id), demand_w }
+            }
+            CoordJournalEntry::Renew { lease_id, demand_w, epoch, .. } => {
+                CoordRequest::Renew { lease_id, epoch, demand_w }
+            }
+            CoordJournalEntry::Release { lease_id, .. } => CoordRequest::Release { lease_id },
+            CoordJournalEntry::Revoke { lease_id, .. } => CoordRequest::Revoke { lease_id },
+        }
+    }
+}
+
 /// What [`replay_coordinator`] reconstructed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CoordRecovery {
@@ -827,10 +819,11 @@ pub struct CoordRecovery {
 /// Fold a validated coordinator entry stream into a fresh lease table.
 /// Each entry first advances the table to its recorded tick (recomputing
 /// any expirations — and, when `evict_after_ticks > 0`, evictions —
-/// deterministically), then applies its operation, then checks the
-/// recorded post-op epoch — and for grants the recorded lease id —
-/// against the recomputed values. The eviction horizon must match the
-/// one the live table ran with, or recomputed epochs diverge.
+/// deterministically), then re-applies its operation through
+/// [`LeaseTable::apply`] and checks that the entry it yields is the
+/// recorded one. The eviction horizon must match the one the live table
+/// ran with, or recomputed epochs diverge. An empty stream yields the
+/// table a coordinator without a journal starts from.
 pub fn replay_coordinator(
     entries: &[CoordJournalEntry],
     global_cap_w: f64,
@@ -839,56 +832,22 @@ pub fn replay_coordinator(
     floor_w: f64,
     evict_after_ticks: u64,
 ) -> Result<(LeaseTable, CoordRecovery), JournalError> {
-    let mut table = LeaseTable::new(global_cap_w, policy, ttl_ticks, floor_w);
-    table.set_evict_after_ticks(evict_after_ticks);
-    let diverged = |index: usize, detail: String| JournalError::LeaseDivergence { index, detail };
-    let check = |index: usize, recorded: u64, table: &LeaseTable| {
-        if table.epoch() == recorded {
-            Ok(())
-        } else {
-            Err(JournalError::LeaseDivergence {
-                index,
-                detail: format!("recorded epoch {recorded}, recomputed {}", table.epoch()),
-            })
-        }
-    };
-    for (index, entry) in entries.iter().enumerate() {
-        match entry {
-            CoordJournalEntry::Grant { lease_id, shard_id, demand_w, tick, epoch } => {
-                table.advance_to(*tick);
-                let outcome = table
-                    .grant(Some(*shard_id), *demand_w)
-                    .map_err(|e| diverged(index, format!("journaled grant rejected: {e}")))?;
-                if outcome.lease_id != *lease_id {
-                    return Err(diverged(
-                        index,
-                        format!("recorded lease id {lease_id}, recomputed {}", outcome.lease_id),
-                    ));
+    let mut table = LeaseTable::new(global_cap_w, policy, ttl_ticks, floor_w, evict_after_ticks);
+    for (index, recorded) in entries.iter().enumerate() {
+        let (lease_id, tick, epoch) = recorded.stamp();
+        table.advance_to(tick);
+        let detail = match table.apply(&recorded.request(), 0) {
+            Ok((_, entry)) if entry == *recorded => continue,
+            Ok((_, entry)) => match entry.stamp() {
+                (id, ..) if id != lease_id => {
+                    format!("recorded lease id {lease_id}, recomputed {id}")
                 }
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Renew { lease_id, demand_w, tick, epoch } => {
-                table.advance_to(*tick);
-                table.renew_unchecked(*lease_id, *demand_w).ok_or_else(|| {
-                    diverged(index, format!("journaled renew of dead lease {lease_id}"))
-                })?;
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Release { lease_id, tick, epoch } => {
-                table.advance_to(*tick);
-                table
-                    .release(*lease_id)
-                    .map_err(|e| diverged(index, format!("journaled release rejected: {e}")))?;
-                check(index, *epoch, &table)?;
-            }
-            CoordJournalEntry::Revoke { lease_id, tick, epoch } => {
-                table.advance_to(*tick);
-                table
-                    .revoke(*lease_id)
-                    .map_err(|e| diverged(index, format!("journaled revoke rejected: {e}")))?;
-                check(index, *epoch, &table)?;
-            }
-        }
+                (.., e) if e != epoch => format!("recorded epoch {epoch}, recomputed {e}"),
+                _ => format!("recorded {recorded:?}, recomputed {entry:?}"),
+            },
+            Err(e) => format!("journaled {recorded:?} rejected: {e}"),
+        };
+        return Err(JournalError::LeaseDivergence { index, detail });
     }
     let recovery = CoordRecovery {
         replayed: entries.len() as u64,
@@ -1075,7 +1034,24 @@ mod tests {
     use std::io::Cursor;
 
     fn table() -> LeaseTable {
-        LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0)
+        LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0)
+    }
+
+    /// Apply `request` as the coordinator does, journal the entry it
+    /// yields, and return the entry's `(lease_id, epoch)`.
+    fn record(
+        t: &mut LeaseTable,
+        journal: &mut Vec<CoordJournalEntry>,
+        request: CoordRequest,
+    ) -> (u64, u64) {
+        let (_, entry) = t.apply(&request, 0).expect("the operation applies");
+        let (lease_id, _, epoch) = entry.stamp();
+        journal.push(entry);
+        (lease_id, epoch)
+    }
+
+    fn lease(shard_id: Option<u64>, demand_w: f64) -> CoordRequest {
+        CoordRequest::Lease { shard_id, demand_w }
     }
 
     /// Renew every live lease once, in id order, presenting its fence.
@@ -1114,7 +1090,7 @@ mod tests {
     fn grants_below_a_floor_sized_target_are_denied_without_trace() {
         // Floor 45 of a 100 W cap: two shards fit (target 50), a third
         // (target 33.3) does not.
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 45.0, 0);
         t.grant(None, 0.0).unwrap();
         t.grant(None, 0.0).unwrap();
         let epoch_before = t.epoch();
@@ -1131,7 +1107,7 @@ mod tests {
 
     #[test]
     fn commitments_never_exceed_the_pool_mid_ramp() {
-        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let mut t = LeaseTable::new(90.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
         let a = t.grant(None, 40.0).unwrap();
         t.renew(a.lease_id, t.epoch(), 40.0).unwrap();
         let _b = t.grant(None, 10.0).unwrap();
@@ -1212,22 +1188,24 @@ mod tests {
         let a = t.grant(None, 0.0).unwrap();
         t.advance_to(a.expires_tick);
         assert_eq!(t.encumbered_w(), 5.0);
-        t.revoke(a.lease_id).unwrap();
+        t.apply(&CoordRequest::Revoke { lease_id: a.lease_id }, 0).unwrap();
         assert_eq!(t.encumbered_w(), 0.0);
         assert_eq!(t.revocations(), 1);
         assert_eq!(t.pool_w(), 100.0);
-        assert!(matches!(t.release(a.lease_id), Err(LeaseError::UnknownLease { .. })));
+        assert!(matches!(
+            t.apply(&CoordRequest::Release { lease_id: a.lease_id }, 0),
+            Err(LeaseError::UnknownLease { .. })
+        ));
 
         let b = t.grant(None, 0.0).unwrap();
         assert_ne!(b.lease_id, a.lease_id, "burned lease ids stay burned");
-        t.release(b.lease_id).unwrap();
+        t.apply(&CoordRequest::Release { lease_id: b.lease_id }, 0).unwrap();
         assert_eq!(t.fleet_committed_w(), 0.0);
     }
 
     #[test]
     fn eviction_reclaims_the_encumbrance_and_readmission_is_a_fresh_grant() {
-        let mut t = table();
-        t.set_evict_after_ticks(3);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
         let a = t.grant(None, 0.0).unwrap();
         let b = t.grant(None, 0.0).unwrap();
         renew_round(&mut t);
@@ -1268,30 +1246,14 @@ mod tests {
 
     #[test]
     fn eviction_is_replay_pure_when_the_horizon_matches() {
-        let mut live = table();
-        live.set_evict_after_ticks(3);
+        let mut live = LeaseTable::new(100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3);
         let mut journal: Vec<CoordJournalEntry> = Vec::new();
-        let record_grant = |t: &mut LeaseTable, j: &mut Vec<CoordJournalEntry>, sid, d| {
-            let o = t.grant(sid, d).unwrap();
-            j.push(CoordJournalEntry::Grant {
-                lease_id: o.lease_id,
-                shard_id: o.shard_id,
-                demand_w: d,
-                tick: t.tick(),
-                epoch: o.epoch,
-            });
-            o
-        };
-        let a = record_grant(&mut live, &mut journal, None, 0.0);
-        let b = record_grant(&mut live, &mut journal, None, 0.0);
+        let (a, _) = record(&mut live, &mut journal, lease(None, 0.0));
+        let a_shard = live.lease(a).unwrap().shard_id;
+        let (b, _) = record(&mut live, &mut journal, lease(None, 0.0));
         live.advance_to(5);
-        let o = live.renew(b.lease_id, live.epoch(), 0.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 0.0,
-            tick: 5,
-            epoch: o.epoch,
-        });
+        let epoch = live.epoch();
+        record(&mut live, &mut journal, CoordRequest::Renew { lease_id: b, epoch, demand_w: 0.0 });
         // The live table detects A's expiry at tick 11 and the eviction at
         // tick 13 — intermediate advances replay never sees. Both events
         // are keyed to pure lease state (expiry 10, eviction 10+3), so
@@ -1299,15 +1261,10 @@ mod tests {
         // the same epoch sequence.
         live.advance_to(11);
         live.advance_to(13);
-        let o = live.renew(b.lease_id, live.epoch(), 0.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 0.0,
-            tick: 13,
-            epoch: o.epoch,
-        });
-        let a2 = record_grant(&mut live, &mut journal, Some(a.shard_id), 0.0);
-        assert_ne!(a2.lease_id, a.lease_id, "evicted shard re-admits under a fresh lease");
+        let epoch = live.epoch();
+        record(&mut live, &mut journal, CoordRequest::Renew { lease_id: b, epoch, demand_w: 0.0 });
+        let (a2, _) = record(&mut live, &mut journal, lease(Some(a_shard), 0.0));
+        assert_ne!(a2, a, "evicted shard re-admits under a fresh lease");
 
         let (rebuilt, recovery) =
             replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 3).unwrap();
@@ -1326,7 +1283,7 @@ mod tests {
 
     #[test]
     fn demand_proportional_targets_favor_hungry_shards() {
-        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0);
+        let mut t = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 2.0, 0);
         let a = t.grant(None, 10.0).unwrap();
         t.renew(a.lease_id, a.epoch, 10.0).unwrap();
         let b = t.grant(None, 40.0).unwrap();
@@ -1342,50 +1299,23 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_exact_table() {
-        let mut live = LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0);
+        let mut live = LeaseTable::new(80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0);
         let mut journal: Vec<CoordJournalEntry> = Vec::new();
-        let record_grant = |t: &mut LeaseTable, j: &mut Vec<CoordJournalEntry>, sid, d| {
-            let o = t.grant(sid, d).unwrap();
-            j.push(CoordJournalEntry::Grant {
-                lease_id: o.lease_id,
-                shard_id: o.shard_id,
-                demand_w: d,
-                tick: t.tick(),
-                epoch: o.epoch,
-            });
-            o
-        };
-        let a = record_grant(&mut live, &mut journal, None, 20.0);
+        let (a, a_epoch) = record(&mut live, &mut journal, lease(None, 20.0));
+        let a_shard = live.lease(a).unwrap().shard_id;
         live.advance_to(2);
-        let o = live.renew(a.lease_id, a.epoch, 25.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: a.lease_id,
-            demand_w: 25.0,
-            tick: 2,
-            epoch: o.epoch,
-        });
-        let b = record_grant(&mut live, &mut journal, None, 10.0);
+        let renew = |lease_id, epoch, demand_w| CoordRequest::Renew { lease_id, epoch, demand_w };
+        record(&mut live, &mut journal, renew(a, a_epoch, 25.0));
+        let (b, b_epoch) = record(&mut live, &mut journal, lease(None, 10.0));
         // B renews at tick 6, pushing its expiry to 11; A goes silent and
         // expires at 7, so B's next renewal at 8 crosses the expiry.
         live.advance_to(6);
-        let o = live.renew(b.lease_id, b.epoch, 10.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 10.0,
-            tick: 6,
-            epoch: o.epoch,
-        });
+        let (_, b_epoch) = record(&mut live, &mut journal, renew(b, b_epoch, 10.0));
         live.advance_to(8);
-        let o = live.renew(b.lease_id, o.epoch, 10.0).unwrap();
-        journal.push(CoordJournalEntry::Renew {
-            lease_id: b.lease_id,
-            demand_w: 10.0,
-            tick: 8,
-            epoch: o.epoch,
-        });
+        record(&mut live, &mut journal, renew(b, b_epoch, 10.0));
         // A comes back and is re-adopted.
-        let a2 = record_grant(&mut live, &mut journal, Some(a.shard_id), 20.0);
-        assert_eq!(a2.lease_id, a.lease_id);
+        let (a2, _) = record(&mut live, &mut journal, lease(Some(a_shard), 20.0));
+        assert_eq!(a2, a);
 
         let (rebuilt, recovery) =
             replay_coordinator(&journal, 80.0, ArbiterPolicy::DemandProportional, 5, 3.0, 0)
@@ -1420,6 +1350,69 @@ mod tests {
             replay_coordinator(&entries, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0),
             Err(JournalError::LeaseDivergence { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn unnamed_shards_never_alias_a_held_shard_id() {
+        let mut t = table();
+        let mut journal: Vec<CoordJournalEntry> = Vec::new();
+        let (named, _) = record(&mut t, &mut journal, lease(Some(2), 0.0));
+        let (unnamed, _) = record(&mut t, &mut journal, lease(None, 0.0));
+        assert_eq!(t.lease(named).unwrap().shard_id, 2);
+        assert_ne!(t.lease(unnamed).unwrap().shard_id, 2, "shard ids must stay unique");
+
+        // The history replays, so a journaled coordinator can restart.
+        let (rebuilt, _) =
+            replay_coordinator(&journal, 100.0, ArbiterPolicy::EqualShare, 10, 5.0, 0).unwrap();
+        assert_eq!(rebuilt.snapshot(), t.snapshot());
+
+        // Once both expire, each shard re-adopts its own lease.
+        t.advance_to(10);
+        assert_eq!(t.encumbered_ids(), vec![named, unnamed]);
+        for id in [named, unnamed] {
+            let shard_id = t.lease(id).unwrap().shard_id;
+            assert_eq!(t.grant(Some(shard_id), 0.0).unwrap().lease_id, id);
+        }
+        assert_eq!(t.snapshot().len(), 2, "no shard aliased another's lease");
+    }
+
+    #[test]
+    fn bad_demands_are_journaled_clamped_and_replay_exactly() {
+        let mut live = LeaseTable::new(100.0, ArbiterPolicy::DemandProportional, 10, 5.0, 0);
+        let mut journal: Vec<CoordJournalEntry> = Vec::new();
+        let demands = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -3.0, 7.5];
+        let mut ids = Vec::new();
+        for demand_w in demands {
+            ids.push(record(&mut live, &mut journal, lease(None, demand_w)).0);
+        }
+        // Renew every lease with the next lease's demand.
+        for (i, &lease_id) in ids.iter().enumerate() {
+            let (demand_w, epoch) = (demands[(i + 1) % demands.len()], live.epoch());
+            record(&mut live, &mut journal, CoordRequest::Renew { lease_id, epoch, demand_w });
+        }
+        // Non-finite demands are journaled as 0, negative ones as
+        // `max(0.0)`, and a sane demand passes through.
+        let recorded: Vec<f64> = journal
+            .iter()
+            .map(|e| match *e {
+                CoordJournalEntry::Grant { demand_w, .. }
+                | CoordJournalEntry::Renew { demand_w, .. } => demand_w,
+                _ => unreachable!("only grants and renewals were applied"),
+            })
+            .collect();
+        assert_eq!(recorded, [0.0, 0.0, 0.0, 0.0, 7.5, 0.0, 0.0, 0.0, 7.5, 0.0]);
+        assert_eq!(live.lease(ids[3]).unwrap().demand_w, 7.5);
+        assert_eq!(live.overshoot_w(), 0.0);
+
+        // The entries survive JSON and replay to the identical table.
+        let text = serde_json::to_string(&journal).unwrap();
+        let decoded: Vec<CoordJournalEntry> = serde_json::from_str(&text).unwrap();
+        assert_eq!(decoded, journal);
+        let (rebuilt, _) =
+            replay_coordinator(&decoded, 100.0, ArbiterPolicy::DemandProportional, 10, 5.0, 0)
+                .unwrap();
+        assert_eq!(rebuilt.snapshot(), live.snapshot());
+        assert_eq!(rebuilt.epoch(), live.epoch());
     }
 
     #[test]

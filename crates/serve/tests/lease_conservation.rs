@@ -11,7 +11,7 @@
 //!   SIGKILLed coordinator re-adopts instead of double-granting.
 
 use acs_serve::lease::CoordJournalEntry;
-use acs_serve::{replay_coordinator, ArbiterPolicy, LeaseTable};
+use acs_serve::{replay_coordinator, ArbiterPolicy, CoordRequest, LeaseTable};
 use proptest::prelude::*;
 
 const CAP_W: f64 = 100.0;
@@ -27,7 +27,8 @@ fn policy_from(n: u8) -> ArbiterPolicy {
 }
 
 /// One encoded operation against the table. The clock advances by `dt`
-/// first, exactly as the coordinator does under its table lock.
+/// first, exactly as the coordinator does under its table lock, and the
+/// operation goes through the coordinator's own apply-and-journal path.
 fn apply(
     table: &mut LeaseTable,
     journal: &mut Vec<CoordJournalEntry>,
@@ -37,63 +38,29 @@ fn apply(
     dt: u64,
 ) {
     table.advance_to(table.tick() + dt);
-    let live = table.live_ids();
-    match op % 4 {
-        0 => {
-            let epoch_before = table.epoch();
-            match table.grant(None, demand_w) {
-                Ok(o) => journal.push(CoordJournalEntry::Grant {
-                    lease_id: o.lease_id,
-                    shard_id: o.shard_id,
-                    demand_w: demand_w.max(0.0),
-                    tick: table.tick(),
-                    epoch: o.epoch,
-                }),
-                // Denials leave no trace: nothing journaled, nothing bumped.
-                Err(_) => assert_eq!(table.epoch(), epoch_before),
-            }
-        }
-        1 => {
-            if let Some(&lease_id) = live.get(pick as usize % live.len().max(1)) {
-                let epoch = table.epoch();
-                if let Ok(o) = table.renew(lease_id, epoch, demand_w) {
-                    journal.push(CoordJournalEntry::Renew {
-                        lease_id,
-                        demand_w: demand_w.max(0.0),
-                        tick: table.tick(),
-                        epoch: o.epoch,
-                    });
-                }
-            }
-        }
-        2 => {
-            if let Some(&lease_id) = live.get(pick as usize % live.len().max(1)) {
-                if table.release(lease_id).is_ok() {
-                    journal.push(CoordJournalEntry::Release {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                }
-            }
-        }
-        _ => {
-            let encumbered = table.encumbered_ids();
-            if let Some(&lease_id) = encumbered.get(pick as usize % encumbered.len().max(1)) {
-                if table.revoke(lease_id).is_ok() {
-                    journal.push(CoordJournalEntry::Revoke {
-                        lease_id,
-                        tick: table.tick(),
-                        epoch: table.epoch(),
-                    });
-                }
-            }
-        }
+    let pick_from = |ids: Vec<u64>| ids.get(pick as usize % ids.len().max(1)).copied();
+    let request = match op % 4 {
+        0 => Some(CoordRequest::Lease { shard_id: None, demand_w }),
+        1 => pick_from(table.live_ids()).map(|lease_id| CoordRequest::Renew {
+            lease_id,
+            epoch: table.epoch(),
+            demand_w,
+        }),
+        2 => pick_from(table.live_ids()).map(|lease_id| CoordRequest::Release { lease_id }),
+        _ => pick_from(table.encumbered_ids()).map(|lease_id| CoordRequest::Revoke { lease_id }),
+    };
+    let Some(request) = request else { return };
+    let epoch_before = table.epoch();
+    match table.apply(&request, 0) {
+        Ok((_, entry)) => journal.push(entry),
+        // Rejections (denied grants) leave no trace: nothing journaled,
+        // nothing bumped.
+        Err(_) => assert_eq!(table.epoch(), epoch_before),
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases_env(192))]
 
     /// Fleet-wide conservation holds after every op: live commitments fit
     /// inside the unencumbered pool, the total never exceeds the cap, and
@@ -105,7 +72,7 @@ proptest! {
             (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..160),
     ) {
         let mut table =
-            LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
+            LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, 0);
         let mut journal = Vec::new();
         for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
             apply(&mut table, &mut journal, op, pick, demand_w, dt);
@@ -146,7 +113,7 @@ proptest! {
         ops in prop::collection::vec(
             (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..120),
     ) {
-        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
+        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, 0);
         let mut journal = Vec::new();
         for &(op, pick, demand_w, dt) in &ops {
             apply(&mut live, &mut journal, op, pick, demand_w, dt);
@@ -194,8 +161,7 @@ proptest! {
         ops in prop::collection::vec(
             (0u8..4, 0u64..16, 0.0..60.0f64, 0u64..4), 1..120),
     ) {
-        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W);
-        live.set_evict_after_ticks(horizon);
+        let mut live = LeaseTable::new(CAP_W, policy_from(policy), TTL_TICKS, FLOOR_W, horizon);
         let mut journal = Vec::new();
         for (i, &(op, pick, demand_w, dt)) in ops.iter().enumerate() {
             apply(&mut live, &mut journal, op, pick, demand_w, dt);
